@@ -237,8 +237,7 @@ Row run_cell(std::size_t n_sandboxes, std::size_t batch) {
   // --- merge latency off the maintained index ----------------------------
   // What the maintenance pays for: sandbox 0's O(#runs) splice. The index
   // is re-prepared outside the timed region; un-splicing restores the
-  // queue between reps. Warm-up rep first (task buffer sizing).
-  core::SequentialMergeExecutor executor;
+  // queue between reps. Warm-up rep first.
   PausedSandbox& subject = *sandboxes.front();
   auto unsplice = [&queue, &subject] {
     for (auto& vcpu : subject.storage) {
@@ -250,10 +249,9 @@ Row run_cell(std::size_t n_sandboxes, std::size_t batch) {
       subject.merge_vcpus.insert(it, *vcpu);
     }
   };
-  // Warm-up cycle outside the alloc window: the first merge sizes the
-  // splice task buffer, which maintenance never touches.
+  // Warm-up cycle outside the alloc window.
   subject.index.rebuild(subject.merge_vcpus, queue);
-  (void)subject.index.merge(subject.merge_vcpus, queue, executor);
+  (void)subject.index.merge(subject.merge_vcpus, queue);
   unsplice();
 
   util::Nanos merge_total = 0;
@@ -261,7 +259,7 @@ Row run_cell(std::size_t n_sandboxes, std::size_t batch) {
   for (int rep = 0; rep < kMergeReps; ++rep) {
     subject.index.rebuild(subject.merge_vcpus, queue);
     util::Stopwatch watch;
-    (void)subject.index.merge(subject.merge_vcpus, queue, executor);
+    (void)subject.index.merge(subject.merge_vcpus, queue);
     merge_total += watch.elapsed();
     unsplice();
   }

@@ -7,10 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "core/merge_crew.hpp"
 #include "core/p2sm.hpp"
 #include "util/rng.hpp"
 
@@ -62,7 +60,6 @@ struct Lists {
 void BM_P2smMergePhase(benchmark::State& state) {
   const auto a_size = static_cast<std::size_t>(state.range(0));
   const auto b_size = static_cast<std::size_t>(state.range(1));
-  core::SequentialMergeExecutor executor;
   for (auto _ : state) {
     state.PauseTiming();
     auto lists = std::make_unique<Lists>(a_size, b_size, 42);
@@ -70,7 +67,7 @@ void BM_P2smMergePhase(benchmark::State& state) {
     index.rebuild(lists->a, *lists->b);
     state.ResumeTiming();
 
-    benchmark::DoNotOptimize(index.merge(lists->a, *lists->b, executor));
+    benchmark::DoNotOptimize(index.merge(lists->a, *lists->b));
 
     state.PauseTiming();
     lists.reset();  // O(|A|+|B|) teardown outside the timed region
@@ -145,22 +142,11 @@ void BM_P2smIncrementalInsertRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_P2smIncrementalInsertRemove)->Arg(16)->Arg(256)->Arg(4096);
 
-/// Sequential vs parallel splice execution across run counts. The
-/// parallel variants are only registered when the host has enough
-/// hardware threads for the crew to actually run in parallel — on a
-/// single-core machine the spin-dispatch degenerates to scheduler
-/// ping-pong and measures the OS, not the algorithm.
+/// Splice execution across run counts: |A| = |B| = runs, so nearly every
+/// A node lands in its own gap and the merge issues ~runs splices from the
+/// calling thread.
 void BM_SpliceExecution(benchmark::State& state) {
   const auto runs = static_cast<std::size_t>(state.range(0));
-  const bool parallel = state.range(1) != 0;
-  core::SequentialMergeExecutor sequential;
-  std::unique_ptr<core::ParallelMergeCrew> crew;
-  core::MergeExecutor* executor = &sequential;
-  if (parallel) {
-    crew = std::make_unique<core::ParallelMergeCrew>(4);
-    crew->arm();
-    executor = crew.get();
-  }
   for (auto _ : state) {
     state.PauseTiming();
     auto lists = std::make_unique<Lists>(runs, runs, 99);
@@ -168,33 +154,15 @@ void BM_SpliceExecution(benchmark::State& state) {
     index.rebuild(lists->a, *lists->b);
     state.ResumeTiming();
 
-    benchmark::DoNotOptimize(index.merge(lists->a, *lists->b, *executor));
+    benchmark::DoNotOptimize(index.merge(lists->a, *lists->b));
 
     state.PauseTiming();
     lists.reset();
     state.ResumeTiming();
   }
-  if (crew) {
-    crew->disarm();
-  }
-  state.SetLabel(parallel ? "parallel" : "sequential");
 }
-
-void register_splice_benchmarks() {
-  auto* bench = benchmark::RegisterBenchmark("BM_SpliceExecution",
-                                             &BM_SpliceExecution);
-  bench->Args({1, 0})->Args({8, 0})->Args({36, 0});
-  if (std::thread::hardware_concurrency() >= 4) {
-    bench->Args({1, 1})->Args({8, 1})->Args({36, 1});
-  }
-}
+BENCHMARK(BM_SpliceExecution)->Arg(1)->Arg(8)->Arg(36);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  register_splice_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -434,6 +434,7 @@ void ClusterScheduler::declare_dead_locked(std::size_t index, util::Nanos now) {
       continue;
     }
     orphan_keys_.insert(task.key);
+    orphan_ledger_.store(orphan_keys_.size(), std::memory_order_relaxed);
     orphans_redispatched_.fetch_add(1, std::memory_order_relaxed);
     task.redispatched = true;
     dispatch(std::move(task));
@@ -505,13 +506,18 @@ std::vector<faas::SubmissionOutcome> ClusterScheduler::drain() {
           // Second sighting of an orphaned key: zombie vs re-dispatched
           // copy, whichever landed later. Suppressed as a typed
           // kDuplicateSuppressed — counted, never surfaced, so every
-          // submission completes exactly once.
+          // submission completes exactly once. The dispatcher always
+          // finishes a dequeued task and a copy is never orphaned again,
+          // so no third outcome can follow: the key retires here.
+          orphan_keys_.erase(outcome.key);
+          delivered_orphans_.erase(outcome.key);
           ++suppressed;
           continue;
         }
         out.push_back(std::move(outcome));
       }
     }
+    orphan_ledger_.store(orphan_keys_.size(), std::memory_order_relaxed);
   }
   duplicates_suppressed_.fetch_add(suppressed, std::memory_order_relaxed);
   {
@@ -554,6 +560,7 @@ ClusterCounters ClusterScheduler::counters() const {
       orphans_redispatched_.load(std::memory_order_relaxed);
   counters.duplicates_suppressed =
       duplicates_suppressed_.load(std::memory_order_relaxed);
+  counters.orphan_ledger = orphan_ledger_.load(std::memory_order_relaxed);
   counters.degraded_single_host =
       degraded_single_host_.load(std::memory_order_acquire);
   return counters;

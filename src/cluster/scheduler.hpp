@@ -214,6 +214,9 @@ struct ClusterCounters {
   /// Late zombie completions dropped by the dedup ledger
   /// (kDuplicateSuppressed — counted, typed, never surfaced).
   std::uint64_t duplicates_suppressed = 0;
+  /// Gauge: orphaned keys still in the dedup ledger, i.e. awaiting their
+  /// second outcome. Back to 0 once every zombie and copy has been drained.
+  std::uint64_t orphan_ledger = 0;
   /// Sandboxes restored into warm pools by rejoin rehydration (summed
   /// over host platforms).
   std::uint64_t rehydrated_sandboxes = 0;
@@ -401,9 +404,12 @@ class ClusterScheduler {
   std::vector<HostLease> leases_;
   /// Orphan ledger (health_mutex_): keys of in-flight submissions stolen
   /// off declared-dead hosts. delivered_orphans_ records which of those
-  /// keys already surfaced one outcome — the second one is suppressed.
+  /// keys already surfaced one outcome — the second one is suppressed and
+  /// retires the key from both sets. orphan_ledger_ mirrors
+  /// orphan_keys_.size() for counters().
   std::unordered_set<std::uint64_t> orphan_keys_;
   std::unordered_set<std::uint64_t> delivered_orphans_;
+  std::atomic<std::uint64_t> orphan_ledger_{0};
   /// Half-open probe schedule; rng state guarded by health_mutex_.
   util::Backoff probe_backoff_;
   util::Xoshiro256 probe_rng_;

@@ -67,6 +67,14 @@ util::Nanos SimCluster::queue_delay_estimate() const {
   return any ? best : 0;
 }
 
+void SimCluster::retire_orphan(std::uint64_t seq) {
+  // Second sighting: both the zombie and the copy have landed, and a copy
+  // is never orphaned again, so the seq can never be seen a third time.
+  ++duplicates_suppressed_;
+  orphan_seqs_.erase(seq);
+  delivered_orphans_.erase(seq);
+}
+
 void SimCluster::record_rejection(const Task& task, util::Nanos at,
                                   faas::SubmissionReject reject) {
   // The ledger covers rejections too: if an orphan's re-dispatched copy
@@ -75,7 +83,7 @@ void SimCluster::record_rejection(const Task& task, util::Nanos at,
   // per seq, whatever its kind.
   if (orphan_seqs_.contains(task.seq) &&
       !delivered_orphans_.insert(task.seq).second) {
-    ++duplicates_suppressed_;
+    retire_orphan(task.seq);
     return;
   }
   SimRejection rejection;
@@ -235,7 +243,7 @@ void SimCluster::complete_due(util::Nanos now) {
     // sighting is suppressed (the scheduler's drain()-merge mirror).
     if (orphan_seqs_.contains(done.seq) &&
         !delivered_orphans_.insert(done.seq).second) {
-      ++duplicates_suppressed_;
+      retire_orphan(done.seq);
     } else {
       completions_.push_back(done);
     }

@@ -231,6 +231,11 @@ class SimCluster {
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
     return duplicates_suppressed_;
   }
+  /// Orphaned seqs still awaiting their second sighting (the dedup ledger
+  /// size); 0 once every zombie and copy has landed.
+  [[nodiscard]] std::size_t orphan_ledger_size() const noexcept {
+    return orphan_seqs_.size();
+  }
 
   /// Pre-load `count` synthetic tasks of `service` each onto a host at the
   /// current virtual time, bypassing the policy (occupancy control).
@@ -314,6 +319,8 @@ class SimCluster {
   bool expire_if_due(const Task& task, util::Nanos at);
   void record_rejection(const Task& task, util::Nanos at,
                         faas::SubmissionReject reject);
+  /// Suppress an orphan's second outcome and drop its seq from the ledger.
+  void retire_orphan(std::uint64_t seq);
   /// Min queueing EWMA over healthy hosts (the admission estimate).
   [[nodiscard]] util::Nanos queue_delay_estimate() const;
 
@@ -328,7 +335,8 @@ class SimCluster {
   std::vector<SimRejection> rejections_;
   std::vector<Task> stolen_;  // parked between steal_backlog and redispatch
   /// Dedup ledger, mirroring the scheduler's: seqs orphaned off dead
-  /// hosts, and which of those already delivered their one completion.
+  /// hosts, and which of those already delivered their one completion. A
+  /// seq leaves both sets at its second sighting (retire_orphan).
   std::unordered_set<std::uint64_t> orphan_seqs_;
   std::unordered_set<std::uint64_t> delivered_orphans_;
   std::uint64_t duplicates_suppressed_ = 0;

@@ -22,7 +22,6 @@
 
 #include "core/coalesce.hpp"
 #include "core/config.hpp"
-#include "core/merge_crew.hpp"
 #include "core/ull_manager.hpp"
 #include "metrics/histogram.hpp"
 #include "util/spinlock.hpp"
@@ -98,20 +97,8 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   [[nodiscard]] UllRunQueueManager& ull_manager() noexcept { return *ull_; }
   [[nodiscard]] const HorseConfig& config() const noexcept { return config_; }
   [[nodiscard]] const HorseFeatures& features() const noexcept { return features_; }
-  [[nodiscard]] MergeExecutor& executor() noexcept { return *executor_; }
-  /// The parallel crew, or nullptr in sequential mode (for crew stats and
-  /// watchdog introspection).
-  [[nodiscard]] ParallelMergeCrew* crew() noexcept { return crew_; }
-
-  /// Adaptive inline-splice crossover in effect: fast-path merges with at
-  /// most this many runs splice on the resuming thread instead of the
-  /// crew. 0 in sequential mode (the main executor is already inline) or
-  /// when the crew wins even at one run; set from
-  /// HorseConfig::inline_splice_max_runs or the startup micro-calibration.
-  [[nodiscard]] std::uint32_t inline_splice_threshold() const noexcept {
-    return inline_splice_threshold_;
-  }
-  /// Fast-path merges the crossover routed to the inline executor.
+  /// Fast-path merges: O(1) 𝒫²𝒮ℳ splices issued on the resuming thread
+  /// (every resume that did not degrade to the sorted walk).
   [[nodiscard]] std::uint64_t inline_splice_count() const noexcept {
     return inline_splices_.load(std::memory_order_acquire);
   }
@@ -121,11 +108,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   /// Snapshot of the per-stage cycle accounting (copy under an internal
   /// spinlock; ~10 KB, so call this from reporting paths, not hot loops).
   [[nodiscard]] ResumeCycleStats cycle_stats() const;
-
-  /// Pre-arm / disarm the parallel crew around a resume burst (no-op in
-  /// sequential mode).
-  void arm_crew() noexcept;
-  void disarm_crew() noexcept;
 
   /// HORSE resume: prologue, then 𝒫²𝒮ℳ merge (step ④) and coalesced load
   /// update (step ⑤), then epilogue. Falls back to the vanilla loop for
@@ -159,10 +141,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   /// other engines' resumes.
   void run_deferred_refresh();
 
-  /// Resolve the inline-splice crossover from config or, in auto mode,
-  /// from the startup micro-calibration against the freshly built crew.
-  [[nodiscard]] std::uint32_t resolve_inline_splice_threshold();
-
   HorseConfig config_;
   HorseFeatures features_;
   /// Owned in the standalone shape, null in the sharded shape; ull_ is the
@@ -171,12 +149,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   std::unique_ptr<UllRunQueueManager> owned_ull_;
   UllRunQueueManager* ull_ = nullptr;
   LoadCoalescer coalescer_;
-  std::unique_ptr<MergeExecutor> executor_;
-  ParallelMergeCrew* crew_ = nullptr;  // non-null in parallel mode
-  /// Inline lane for the adaptive crossover: small splice sets bypass the
-  /// crew's cross-core dispatch entirely.
-  SequentialMergeExecutor inline_executor_;
-  std::uint32_t inline_splice_threshold_ = 0;
   std::atomic<std::uint64_t> inline_splices_{0};
 
   // Cycle accounting. The recording site runs after the epilogue released

@@ -1,7 +1,6 @@
 #include "core/p2sm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -86,13 +85,6 @@ void P2smIndex::rebuild(sched::VcpuList& a, sched::RunQueue& b) {
   pos_a_.clear();
   if (pos_a_.capacity() < a.size()) {
     pos_a_.reserve(a.size());
-  }
-  // Pre-size the splice buffer HERE (pause-time) so merge()'s reserve is
-  // a guaranteed no-op: the resume hot path must stay allocation-free
-  // even on the first merge of a freshly built index (fig3
-  // --strict-alloc gates on this).
-  if (task_buffer_.capacity() < a.size()) {
-    task_buffer_.reserve(a.size());
   }
   for (sched::Vcpu& vcpu : a) {
     const AnchorIndex anchor = anchor_for(vcpu.credit);
@@ -524,8 +516,7 @@ util::Status P2smIndex::remove_from_a(sched::VcpuList& a, sched::Vcpu& vcpu) {
   return {util::StatusCode::kNotFound, "p2sm: vcpu not indexed"};
 }
 
-util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
-                              MergeExecutor& executor) {
+util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b) {
   if (!fresh(b)) {
     return {util::StatusCode::kFailedPrecondition,
             "p2sm: index stale; cannot O(1)-merge"};
@@ -538,35 +529,8 @@ util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
     return {util::StatusCode::kFailedPrecondition, "p2sm: empty source list"};
   }
   HORSE_DCHECK_OK(audit(a, b));
-
-  // Materialise the splice set. task_buffer_ is reused so the steady-state
-  // merge allocates nothing. The loop streams the repacked RunEntry table
-  // (two entries per cache line) and prefetches one entry ahead plus the
-  // anchor hook that entry will dereference, so the splice build never
-  // stalls on a cold arrayB node.
-  task_buffer_.clear();
-  task_buffer_.reserve(pos_a_.size());
-  std::size_t total = 0;
-  const RunEntry* entries = pos_a_.data();
-  const std::size_t n_runs = pos_a_.size();
-  for (std::size_t r = 0; r < n_runs; ++r) {
-    if (r + 1 < n_runs) {
-      sched::credit_scan::prefetch(entries + r + 1);
-      const AnchorIndex next_anchor = entries[r + 1].anchor;
-      if (next_anchor != kBeforeHead) {
-        sched::credit_scan::prefetch(
-            hooks_b_[static_cast<std::size_t>(next_anchor)]);
-      }
-    }
-    const AnchorIndex anchor = entries[r].anchor;
-    const Run& run = entries[r].run;
-    util::ListHook* anchor_hook =
-        anchor == kBeforeHead ? b.list().sentinel()
-                              : hooks_b_[static_cast<std::size_t>(anchor)];
-    task_buffer_.push_back(SpliceTask{anchor_hook, run.head, run.tail});
-    total += run.count;
-  }
-  assert(total == a.size());
+  // The runs partition A (audited above under HORSE_DCHECK).
+  const std::size_t total = a.size();
 
   // Journal every spliced node as a positional insert BEFORE the splices
   // rewrite any links (the staging walk follows A's chains). Co-resident
@@ -601,7 +565,28 @@ util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
   const auto chain = a.take_all();
   (void)chain;
 
-  executor.execute(task_buffer_);
+  // One splice per run, straight from the run table. The loop streams the
+  // repacked RunEntry table (two entries per cache line) and prefetches one
+  // entry ahead plus the anchor hook that entry will dereference, so the
+  // splices never stall on a cold arrayB node.
+  const RunEntry* entries = pos_a_.data();
+  const std::size_t n_runs = pos_a_.size();
+  for (std::size_t r = 0; r < n_runs; ++r) {
+    if (r + 1 < n_runs) {
+      sched::credit_scan::prefetch(entries + r + 1);
+      const AnchorIndex next_anchor = entries[r + 1].anchor;
+      if (next_anchor != kBeforeHead) {
+        sched::credit_scan::prefetch(
+            hooks_b_[static_cast<std::size_t>(next_anchor)]);
+      }
+    }
+    const AnchorIndex anchor = entries[r].anchor;
+    const Run& run = entries[r].run;
+    util::ListHook* anchor_hook =
+        anchor == kBeforeHead ? b.list().sentinel()
+                              : hooks_b_[static_cast<std::size_t>(anchor)];
+    execute_splice(SpliceTask{anchor_hook, run.head, run.tail});
+  }
 
   b.list().add_size(total);
   b.publish_staged_deltas(total);
@@ -616,8 +601,7 @@ util::Status P2smIndex::merge(sched::VcpuList& a, sched::RunQueue& b,
 
 std::size_t P2smIndex::memory_bytes() const noexcept {
   return b_capacity_ * (sizeof(util::ListHook*) + sizeof(sched::Credit)) +
-         pos_a_.capacity() * sizeof(RunEntry) +
-         task_buffer_.capacity() * sizeof(SpliceTask);
+         pos_a_.capacity() * sizeof(RunEntry);
 }
 
 }  // namespace horse::core

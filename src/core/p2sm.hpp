@@ -14,9 +14,12 @@
 // The merge phase turns each posA entry into one SpliceTask (two boundary
 // rewrites). Distinct runs have distinct anchors and each task writes only
 // its own anchor's `next`, its run's boundary pointers, and the *original*
-// successor's `prev` — pairwise-disjoint fields, so the tasks can execute
+// successor's `prev` — pairwise-disjoint fields, so the tasks could execute
 // concurrently without locks, which is exactly the paper's Algorithm 1
-// correctness argument.
+// correctness argument (checked by the interleaving explorer). Algorithm 1
+// gives each posA key its own thread; here merge() issues the O(#runs)
+// splices from the calling thread, because any cross-core hand-off costs
+// more than the handful of pointer stores it would parallelise.
 //
 // Freshness: the index snapshots B at a specific RunQueue::version(). Any
 // structural change to B invalidates it. Maintenance is incremental first:
@@ -38,13 +41,47 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/merge_crew.hpp"
 #include "sched/run_queue.hpp"
 #include "sched/vcpu.hpp"
 #include "util/align.hpp"
+#include "util/intrusive_list.hpp"
 #include "util/status.hpp"
+#include "util/yield_point.hpp"
 
 namespace horse::core {
+
+/// One splice: link chain [head..tail] right after `anchor`.
+/// Field-level disjointness across tasks (guaranteed by 𝒫²𝒮ℳ's
+/// construction: distinct anchors, runs partition A) makes the set safe to
+/// execute concurrently without locks.
+struct SpliceTask {
+  util::ListHook* anchor = nullptr;
+  util::ListHook* head = nullptr;
+  util::ListHook* tail = nullptr;
+};
+
+/// Execute one splice: the two boundary rewrites of Algorithm 1 (four
+/// pointer stores for a doubly-linked queue).
+///
+/// The HORSE_YIELD_POINT markers expose every individual load/store to the
+/// deterministic interleaving explorer (tests/harness/): under
+/// -DHORSE_SCHED_TEST=ON a seeded scheduler can suspend a splicing thread
+/// between any two of these operations, which is exactly the granularity
+/// at which the paper's field-disjointness argument must hold. In normal
+/// builds the markers compile to nothing.
+inline void execute_splice(const SpliceTask& task) noexcept {
+  HORSE_YIELD_POINT("splice.read_after");
+  util::ListHook* after = task.anchor->next;
+  HORSE_YIELD_POINT("splice.set_anchor_next");
+  task.anchor->next = task.head;
+  HORSE_YIELD_POINT("splice.set_head_prev");
+  task.head->prev = task.anchor;
+  HORSE_YIELD_POINT("splice.set_tail_next");
+  task.tail->next = after;
+  HORSE_YIELD_POINT("splice.set_after_prev");
+  after->prev = task.tail;
+  HORSE_YIELD_POINT("splice.done");
+}
 
 struct P2smStats {
   std::uint64_t rebuilds = 0;
@@ -83,7 +120,7 @@ class P2smIndex {
   /// half a cache line and aligned to its own size — two entries per line,
   /// no entry ever straddling a line boundary, and the next-line prefetch
   /// in merge() always covers whole entries. The anchor leads because the
-  /// splice-task build reads it first (it selects the anchor hook).
+  /// splice loop reads it first (it selects the anchor hook).
   struct alignas(32) RunEntry {
     AnchorIndex anchor = kBeforeHead;  // 8B: read first, selects anchor hook
     Run run;                           // 24B: head, tail, count
@@ -184,15 +221,14 @@ class P2smIndex {
 
   // --- merge phase (§4.1.2, Algorithm 1) ---------------------------------
 
-  /// Splice all of A into B. O(#runs) splice tasks executed by `executor`
-  /// (possibly in parallel), independent of |A| and |B|. On return A is
-  /// empty, B is sorted and contains every former A element, and the
-  /// index is consumed (invalidated). The spliced nodes are journalled
-  /// into B as per-position inserts, so co-resident indexes on the same
-  /// queue can repair() instead of rebuilding. Caller must hold B's lock
-  /// if other threads may mutate B concurrently.
-  util::Status merge(sched::VcpuList& a, sched::RunQueue& b,
-                     MergeExecutor& executor);
+  /// Splice all of A into B. O(#runs) splices issued from the calling
+  /// thread, independent of |A| and |B|. On return A is empty, B is sorted
+  /// and contains every former A element, and the index is consumed
+  /// (invalidated). The spliced nodes are journalled into B as
+  /// per-position inserts, so co-resident indexes on the same queue can
+  /// repair() instead of rebuilding. Caller must hold B's lock if other
+  /// threads may mutate B concurrently.
+  util::Status merge(sched::VcpuList& a, sched::RunQueue& b);
 
   /// Full audit of the precomputed structures against the live A and B,
   /// O(|A| + |B|). Verifies:
@@ -263,7 +299,6 @@ class P2smIndex {
   // A does not change during repair, repair-time splits can never exceed
   // that capacity — vector::insert never reallocates in steady state.
   std::vector<RunEntry> pos_a_;
-  std::vector<SpliceTask> task_buffer_;
   std::uint64_t built_version_ = 0;
   bool built_ = false;
   bool poisoned_ = false;

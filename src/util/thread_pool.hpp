@@ -1,7 +1,7 @@
 // Fixed-size worker pool for general background tasks (trace replay,
 // concurrent invokers in the examples). The 𝒫²𝒮ℳ merge does NOT use this
-// pool — it has its own pre-armed MergeCrew (core/merge_crew.hpp) because
-// the merge's latency budget cannot absorb a mutex/condvar round trip.
+// pool — it issues its splices on the resuming thread, because the
+// merge's latency budget cannot absorb a mutex/condvar round trip.
 #pragma once
 
 #include <condition_variable>

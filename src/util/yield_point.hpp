@@ -18,7 +18,7 @@
 //     until the explorer hands it the token again);
 //   * it must be async-signal-unsafe-free and must not throw;
 //   * threads the hook does not recognise must pass through with nothing
-//     but one atomic load of cost — production threads (e.g. a crew
+//     but one atomic load of cost — production threads (e.g. a thread-pool
 //     worker owned by an unrelated test) keep running at full speed.
 #pragma once
 

@@ -6,14 +6,16 @@
 // CMake).
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
-#include <thread>
+#include <string_view>
 
 #include "cluster/scheduler.hpp"
 #include "util/fault_injection.hpp"
 #include "workloads/array_filter.hpp"
-#include "workloads/cpu_burner.hpp"
+#include "workloads/function.hpp"
 
 namespace horse::cluster {
 namespace {
@@ -179,17 +181,6 @@ TEST_F(ClusterFaultTest, QuarantinedHostKeepsItsHealthFlagUntilRecovered) {
 
 // --- crash tolerance (cluster.host_crash, §5.7) ----------------------------
 
-faas::FunctionSpec burner_spec() {
-  faas::FunctionSpec spec;
-  spec.name = "burner";
-  spec.implementation = std::make_shared<workloads::CpuBurnerFunction>();
-  spec.sandbox.name = "burner-sb";
-  spec.sandbox.num_vcpus = 1;
-  spec.sandbox.memory_mb = 1;
-  spec.sandbox.ull = true;
-  return spec;
-}
-
 TEST_F(ClusterFaultTest, CrashedHostIsDeclaredDeadAndBacklogRedispatched) {
   ClusterConfig config = make_config(2, DispatchMode::kPush);
   // Deterministic detector: every no-progress sweep of the dead host is a
@@ -217,6 +208,48 @@ TEST_F(ClusterFaultTest, CrashedHostIsDeclaredDeadAndBacklogRedispatched) {
       << "every orphan's zombie completion must be suppressed exactly once";
 }
 
+/// A workload whose every invocation blocks until open(): in flight for
+/// exactly as long as the test needs, however the host schedules it. The
+/// body runs under its platform shard's mutex, so while the gate is shut
+/// the test must not call anything that takes that lock (counters() does);
+/// wait_entered() is the lock-free way to know the body has started.
+class GatedFunction final : public workloads::Function {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "gated";
+  }
+  [[nodiscard]] workloads::Category category() const noexcept override {
+    return workloads::Category::kCategory3;
+  }
+  workloads::Response invoke(const workloads::Request& /*request*/) override {
+    std::unique_lock lock(mutex_);
+    ++entered_;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return open_; });
+    return {};
+  }
+  [[nodiscard]] util::Nanos nominal_duration() const noexcept override {
+    return util::kMicrosecond;
+  }
+  void wait_entered() {
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void open() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
 TEST_F(ClusterFaultTest, ZombieCompletionIsSuppressedExactlyOnce) {
   ClusterConfig config = make_config(2, DispatchMode::kPull);
   config.health_check_interval = 0;  // sweeps are driven manually below
@@ -224,24 +257,32 @@ TEST_F(ClusterFaultTest, ZombieCompletionIsSuppressedExactlyOnce) {
   config.health.lease_duration = 0;
   config.health.missed_to_death = 1;
   ClusterScheduler cluster(config);
-  const auto burner = cluster.register_function(burner_spec);
-  ASSERT_TRUE(burner);
+  const auto gate = std::make_shared<GatedFunction>();
+  const auto gated = cluster.register_function([&gate] {
+    faas::FunctionSpec spec;
+    spec.name = "gated";
+    spec.implementation = gate;
+    spec.sandbox.name = "gated-sb";
+    spec.sandbox.num_vcpus = 1;
+    spec.sandbox.memory_mb = 1;
+    spec.sandbox.ull = true;
+    return spec;
+  });
+  ASSERT_TRUE(gated);
   // Pull mode probes the crash at task PICKUP — after the in-flight
-  // registration — so the crashing host is mid-execution of a long
-  // burner task: the canonical zombie.
+  // registration — so the crashing host is mid-execution of a task that
+  // cannot finish before the gate opens: the canonical zombie.
   const auto fault = util::ScopedFault::nth("cluster.host_crash", 1);
-  workloads::Request slow;
-  slow.threshold = 500'000;  // prime-search bound: tens of ms of work
-  cluster.submit(*burner, std::move(slow), faas::StartMode::kCold);
-  // The crash flag is set synchronously at pickup, well before the burner
-  // finishes; once visible, the task is guaranteed still in flight.
-  while (cluster.counters().host_crashes == 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // First sweep may renew on completion progress; the second must miss
-  // (missed_to_death = 1) and declare death, stealing the orphan.
+  cluster.submit(*gated, workloads::Request{}, faas::StartMode::kCold);
+  // The crash fires at pickup, before the body starts.
+  gate->wait_entered();
+  // Nothing can complete while the gate is shut, so the first sweep sees
+  // no progress and the second at the latest (missed_to_death = 1)
+  // declares death, stealing the orphan. Only then may the zombie and
+  // the re-dispatched copy finish.
   cluster.check_health();
   cluster.check_health();
+  gate->open();
   const std::vector<faas::SubmissionOutcome> outcomes = cluster.drain();
   // Exactly ONE outcome surfaces for the single submission, even though
   // two completions happened (zombie + re-dispatched copy).
@@ -251,6 +292,7 @@ TEST_F(ClusterFaultTest, ZombieCompletionIsSuppressedExactlyOnce) {
   EXPECT_EQ(counters.orphans_redispatched, 1u);
   EXPECT_EQ(counters.duplicates_suppressed, 1u);
   EXPECT_EQ(counters.completed, 2u) << "zombie + copy both ran to completion";
+  EXPECT_EQ(counters.orphan_ledger, 0u) << "both outcomes landed: key retired";
 }
 
 TEST_F(ClusterFaultTest, CrashLadderServesDeadlineTrafficViaForcedRoutes) {

@@ -53,6 +53,7 @@ struct RunResult {
   std::vector<SimRejection> rejections;
   std::uint64_t duplicates_suppressed = 0;
   std::size_t forced_routes = 0;
+  std::size_t orphan_ledger = 0;
 };
 
 RunResult run_seed(std::uint64_t seed, DispatchMode dispatch) {
@@ -110,6 +111,7 @@ RunResult run_seed(std::uint64_t seed, DispatchMode dispatch) {
   result.rejections = sim.rejections();
   result.duplicates_suppressed = sim.duplicates_suppressed();
   result.forced_routes = sim.forced_routes();
+  result.orphan_ledger = sim.orphan_ledger_size();
   return result;
 }
 
@@ -206,6 +208,8 @@ TEST_P(CrashRecoveryProperty, EverySubmissionHasExactlyOneOutcome) {
     EXPECT_EQ(lifecycle[1], SimEventKind::kDeclareDead) << "seed " << seed;
     EXPECT_EQ(lifecycle[2], SimEventKind::kRejoin) << "seed " << seed;
     runs_with_suppression += result.duplicates_suppressed > 0 ? 1 : 0;
+    // Both outcomes of every orphan have landed, so the ledger is empty.
+    ASSERT_EQ(result.orphan_ledger, 0u) << "seed " << seed;
   }
   // The sweep must actually exercise the dedup ledger: with ~15 virtual
   // submissions between crash and declaration, a decent fraction of

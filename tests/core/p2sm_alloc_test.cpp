@@ -104,7 +104,6 @@ class P2smAllocTest : public ::testing::Test {
   sched::VcpuList a_;
   sched::RunQueue b_{0};
   P2smIndex index_;
-  SequentialMergeExecutor executor_;
   AllocProbe probe_;
 };
 
@@ -146,16 +145,16 @@ TEST_F(P2smAllocTest, SteadyStateRepairDoesNotAllocate) {
 }
 
 TEST_F(P2smAllocTest, SteadyStateMergeCycleDoesNotAllocate) {
-  // Warm-up cycle: sizes the arena, the run table, and the task buffer.
+  // Warm-up cycle: sizes the arena and the run table.
   index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   restore_a_from_b();
 
   probe_.start();
   bool all_ok = true;
   for (int i = 0; i < 50; ++i) {
     index_.rebuild(a_, b_);
-    all_ok = all_ok && index_.merge(a_, b_, executor_).is_ok();
+    all_ok = all_ok && index_.merge(a_, b_).is_ok();
     restore_a_from_b();
   }
   const std::uint64_t allocs = probe_.alloc_delta();

@@ -60,7 +60,6 @@ class P2smTest : public ::testing::Test {
   sched::VcpuList a_;
   sched::RunQueue b_{0};
   P2smIndex index_;
-  SequentialMergeExecutor executor_;
 };
 
 TEST_F(P2smTest, RebuildPartitionsIntoRuns) {
@@ -83,7 +82,7 @@ TEST_F(P2smTest, MergeInterleaved) {
   add_to_b({10, 20, 30});
   add_to_a({5, 15, 16, 35});
   index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 10, 15, 16, 20, 30, 35});
 }
 
@@ -92,7 +91,7 @@ TEST_F(P2smTest, MergeAllBeforeB) {
   add_to_a({1, 2, 3});
   index_.rebuild(a_, b_);
   EXPECT_EQ(index_.run_count(), 1u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({1, 2, 3, 100, 200});
 }
 
@@ -101,7 +100,7 @@ TEST_F(P2smTest, MergeAllAfterB) {
   add_to_a({10, 20});
   index_.rebuild(a_, b_);
   EXPECT_EQ(index_.run_count(), 1u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({1, 2, 10, 20});
 }
 
@@ -109,7 +108,7 @@ TEST_F(P2smTest, MergeIntoEmptyB) {
   add_to_a({3, 1, 2});
   index_.rebuild(a_, b_);
   EXPECT_EQ(index_.run_count(), 1u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({1, 2, 3});
 }
 
@@ -117,7 +116,7 @@ TEST_F(P2smTest, MergeSingleElement) {
   add_to_b({10, 30});
   add_to_a({20});
   index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 20, 30});
 }
 
@@ -125,7 +124,7 @@ TEST_F(P2smTest, TiesGoAfterEqualBElements) {
   add_to_b({10, 20});
   add_to_a({10, 20});
   index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   // Both sorted; the A copies land after the equal B originals (insert
   // semantics "<=" in both the index and insert_sorted).
   expect_merged({10, 10, 20, 20});
@@ -136,15 +135,35 @@ TEST_F(P2smTest, MergeEveryGapOfB) {
   add_to_a({5, 15, 25, 35, 45});
   index_.rebuild(a_, b_);
   EXPECT_EQ(index_.run_count(), 5u);  // one run per gap incl. head/tail
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 10, 15, 20, 25, 30, 35, 40, 45});
 }
 
 TEST_F(P2smTest, MergeEmptyAFails) {
-  add_to_b({1});
+  add_to_b({1, 2});
   index_.rebuild(a_, b_);
-  EXPECT_EQ(index_.merge(a_, b_, executor_).code(),
+  EXPECT_EQ(index_.run_count(), 0u);
+  const std::uint64_t version = b_.version();
+  EXPECT_EQ(index_.merge(a_, b_).code(),
             util::StatusCode::kFailedPrecondition);
+  // Zero runs means zero splices: B keeps its nodes, links and version.
+  EXPECT_EQ(b_credits(), (std::vector<sched::Credit>{1, 2}));
+  EXPECT_EQ(b_.version(), version);
+  EXPECT_TRUE(b_.check_invariants(/*require_sorted=*/true).is_ok());
+}
+
+TEST_F(P2smTest, ExecuteSpliceLinksChain) {
+  add_to_b({10});
+  // A detached chain 11 <-> 12, linked by hand.
+  sched::Vcpu& first = make_vcpu(11);
+  sched::Vcpu& second = make_vcpu(12);
+  first.hook.next = &second.hook;
+  second.hook.prev = &first.hook;
+  util::ListHook* anchor = b_.list().sentinel()->next;
+  execute_splice(SpliceTask{anchor, &first.hook, &second.hook});
+  b_.list().add_size(2);
+  EXPECT_EQ(b_credits(), (std::vector<sched::Credit>{10, 11, 12}));
+  EXPECT_TRUE(b_.check_invariants(/*require_sorted=*/true).is_ok());
 }
 
 TEST_F(P2smTest, StaleIndexRefusesMerge) {
@@ -157,7 +176,7 @@ TEST_F(P2smTest, StaleIndexRefusesMerge) {
     b_.insert_sorted(make_vcpu(7));
   }
   EXPECT_FALSE(index_.fresh(b_));
-  EXPECT_EQ(index_.merge(a_, b_, executor_).code(),
+  EXPECT_EQ(index_.merge(a_, b_).code(),
             util::StatusCode::kFailedPrecondition);
 }
 
@@ -176,7 +195,7 @@ TEST_F(P2smTest, MergeConsumesIndex) {
   add_to_b({10});
   add_to_a({5});
   index_.rebuild(a_, b_);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   EXPECT_FALSE(index_.built());
   EXPECT_EQ(index_.stats().merges, 1u);
 }
@@ -186,7 +205,7 @@ TEST_F(P2smTest, MergeBumpsBVersion) {
   add_to_a({5});
   index_.rebuild(a_, b_);
   const auto version = b_.version();
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   EXPECT_GT(b_.version(), version);
 }
 
@@ -198,7 +217,7 @@ TEST_F(P2smTest, InsertIntoAExtendsExistingRun) {
   ASSERT_TRUE(index_.insert_into_a(a_, extra, b_).is_ok());
   EXPECT_EQ(a_.size(), 2u);
   EXPECT_EQ(index_.runs().at(0).count, 2u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 15, 16, 20});
 }
 
@@ -217,7 +236,7 @@ TEST_F(P2smTest, InsertIntoACreatesNewRunInOrder) {
     a_credits.push_back(vcpu.credit);
   }
   EXPECT_EQ(a_credits, (std::vector<sched::Credit>{5, 15, 25}));
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 10, 15, 20, 25});
 }
 
@@ -228,7 +247,7 @@ TEST_F(P2smTest, InsertIntoAAtRunHead) {
   sched::Vcpu& head = make_vcpu(12);  // same run (anchor 0), before 16
   ASSERT_TRUE(index_.insert_into_a(a_, head, b_).is_ok());
   EXPECT_EQ(index_.runs().at(0).head, &head.hook);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 12, 16, 20});
 }
 
@@ -259,7 +278,7 @@ TEST_F(P2smTest, RemoveFromAMiddleOfRun) {
   ASSERT_TRUE(index_.remove_from_a(a_, *middle).is_ok());
   EXPECT_EQ(a_.size(), 2u);
   EXPECT_EQ(index_.runs().at(0).count, 2u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 11, 13});
 }
 
@@ -283,7 +302,7 @@ TEST_F(P2smTest, RemoveHeadAndTailOfRun) {
   sched::Vcpu& tail = a_.back();
   ASSERT_TRUE(index_.remove_from_a(a_, tail).is_ok());
   EXPECT_EQ(index_.runs().at(0).count, 1u);
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 12});
 }
 
@@ -354,9 +373,8 @@ TEST_F(P2smTest, RandomisedMergeMatchesStdMerge) {
     std::sort(expected.begin(), expected.end());
 
     P2smIndex index;
-    SequentialMergeExecutor executor;
     index.rebuild(a, b);
-    ASSERT_TRUE(index.merge(a, b, executor).is_ok()) << "round " << round;
+    ASSERT_TRUE(index.merge(a, b).is_ok()) << "round " << round;
 
     std::vector<sched::Credit> actual;
     for (const sched::Vcpu& vcpu : b.list()) {
@@ -406,7 +424,7 @@ TEST_F(P2smTest, RepairAfterInsertBringsIndexFresh) {
   EXPECT_EQ(index_.stats().repaired_deltas, 1u);
   EXPECT_EQ(index_.stats().rebuilds, 1u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 10, 20, 25, 30, 35});
 }
 
@@ -429,7 +447,7 @@ TEST_F(P2smTest, RepairInsertReanchorsWholeRun) {
   ASSERT_TRUE(runs.contains(2));
   EXPECT_EQ(runs.at(2).count, 1u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 12, 15, 16, 30, 35});
 }
 
@@ -453,7 +471,7 @@ TEST_F(P2smTest, RepairInsertSplitsRunAtInsertionPoint) {
   ASSERT_TRUE(runs.contains(1));
   EXPECT_EQ(runs.at(1).count, 1u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 12, 15, 20, 30});
 }
 
@@ -477,7 +495,7 @@ TEST_F(P2smTest, RepairAfterRemoveMergesAdjacentRuns) {
   EXPECT_EQ(runs.at(0).count, 2u);
   EXPECT_EQ(index_.array_b_size(), 2u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({10, 15, 25, 30});
 }
 
@@ -497,7 +515,7 @@ TEST_F(P2smTest, RepairAfterPopFrontReanchorsToBeforeHead) {
   ASSERT_TRUE(runs.contains(P2smIndex::kBeforeHead));
   EXPECT_EQ(runs.at(P2smIndex::kBeforeHead).count, 2u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 15, 20});
 }
 
@@ -517,7 +535,7 @@ TEST_F(P2smTest, RepairReplaysMultipleDeltasInOrder) {
   EXPECT_EQ(index_.stats().repaired_deltas, 3u);
   EXPECT_EQ(index_.array_b_size(), 3u);
   EXPECT_TRUE(index_.audit(a_, b_).is_ok());
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   expect_merged({5, 10, 30, 35, 40});
 }
 
@@ -591,7 +609,7 @@ TEST_F(P2smTest, MergeJournalsSplicesSoCoResidentIndexRepairs) {
   other_index.rebuild(other_a, b_);
   index_.rebuild(a_, b_);
 
-  ASSERT_TRUE(index_.merge(a_, b_, executor_).is_ok());
+  ASSERT_TRUE(index_.merge(a_, b_).is_ok());
   ASSERT_FALSE(other_index.fresh(b_));
   ASSERT_TRUE(other_index.repair(other_a, b_).is_ok());
   EXPECT_TRUE(other_index.fresh(b_));
@@ -599,7 +617,7 @@ TEST_F(P2smTest, MergeJournalsSplicesSoCoResidentIndexRepairs) {
   EXPECT_EQ(other_index.stats().repaired_deltas, 3u);  // one per spliced vCPU
   EXPECT_TRUE(other_index.audit(other_a, b_).is_ok());
 
-  ASSERT_TRUE(other_index.merge(other_a, b_, executor_).is_ok());
+  ASSERT_TRUE(other_index.merge(other_a, b_).is_ok());
   EXPECT_EQ(b_credits(),
             (std::vector<sched::Credit>{5, 10, 15, 20, 40, 45, 50}));
   EXPECT_TRUE(b_.is_sorted());

@@ -69,8 +69,7 @@ TEST_F(P2smRepairFaultTest, CorruptDeltaPoisonsIndexAndRebuildCures) {
   EXPECT_TRUE(index.fresh(b));
   EXPECT_TRUE(index.audit(a, b).is_ok());
 
-  SequentialMergeExecutor executor;
-  ASSERT_TRUE(index.merge(a, b, executor).is_ok());
+  ASSERT_TRUE(index.merge(a, b).is_ok());
   EXPECT_TRUE(b.is_sorted());
   EXPECT_EQ(b.size(), 4u);
 }

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/merge_crew.hpp"
 #include "core/p2sm.hpp"
 #include "faas/warm_pool.hpp"
 #include "harness/schedule_explorer.hpp"
@@ -188,7 +187,6 @@ util::Status run_rebuild_vs_enqueue(const ExplorerOptions& options) {
   sched::Vcpu& invalidator = *storage.back();
 
   core::P2smIndex index;
-  core::SequentialMergeExecutor sequential;
   std::atomic<bool> merge_ok{false};
 
   InterleavingSchedule schedule(options);
@@ -202,7 +200,7 @@ util::Status run_rebuild_vs_enqueue(const ExplorerOptions& options) {
     util::yield_point("scenario.precompute_window");
     {
       util::LockGuard guard(b.lock());
-      util::Status status = index.merge(a, b, sequential);
+      util::Status status = index.merge(a, b);
       if (status.is_ok()) {
         merge_ok.store(true);
         return;
@@ -213,7 +211,7 @@ util::Status run_rebuild_vs_enqueue(const ExplorerOptions& options) {
       // Recovery path: precompute + merge inside one critical section
       // cannot be invalidated.
       index.rebuild(a, b);
-      status = index.merge(a, b, sequential);
+      status = index.merge(a, b);
       merge_ok.store(status.is_ok());
     }
   });

@@ -18,8 +18,8 @@
 //     moment;
 //   * the highest-priority runnable thread always runs.
 //
-// One deviation from textbook PCT: HORSE threads *spin* (armed crew
-// workers, spinlock waiters). A spinning top-priority thread would
+// One deviation from textbook PCT: HORSE threads *spin* (spinlock
+// waiters, retry loops). A spinning top-priority thread would
 // otherwise be re-picked forever once the change points are exhausted, so
 // after roughly `spin_demote_threshold` consecutive picks of the same
 // thread at yield points the explorer demotes it as if a change point had

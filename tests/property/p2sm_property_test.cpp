@@ -1,6 +1,6 @@
 // Property-based sweeps for 𝒫²𝒮ℳ: for any sorted A and B, merging must
 // produce exactly std::merge's multiset in sorted order, regardless of
-// list sizes, credit ranges (tie density), or executor.
+// list sizes or credit ranges (tie density).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,29 +10,26 @@
 #include <tuple>
 #include <vector>
 
-#include "core/merge_crew.hpp"
 #include "core/p2sm.hpp"
 #include "util/rng.hpp"
 
 namespace horse::core {
 namespace {
 
-enum class ExecutorKind { kSequential, kParallel };
-
 struct P2smCase {
   std::size_t a_size;
   std::size_t b_size;
   std::uint64_t credit_range;  // small range = many ties
-  ExecutorKind executor;
+  std::size_t rounds = 10;     // independently drawn (A, B) pairs per case
 };
 
 std::string case_name(const ::testing::TestParamInfo<P2smCase>& info) {
   const auto& param = info.param;
   std::string name = "A" + std::to_string(param.a_size) + "_B" +
                      std::to_string(param.b_size) + "_R" +
-                     std::to_string(param.credit_range) + "_";
-  name += param.executor == ExecutorKind::kSequential ? "seq" : "par";
-  return name;
+                     std::to_string(param.credit_range);
+  // merge() issues its splices sequentially on the calling thread.
+  return name + "_seq";
 }
 
 class P2smPropertyTest : public ::testing::TestWithParam<P2smCase> {};
@@ -42,15 +39,7 @@ TEST_P(P2smPropertyTest, MergeEqualsReferenceMerge) {
   util::Xoshiro256 rng(1000 + param.a_size * 7 + param.b_size * 13 +
                        param.credit_range);
 
-  SequentialMergeExecutor sequential;
-  std::unique_ptr<ParallelMergeCrew> crew;
-  MergeExecutor* executor = &sequential;
-  if (param.executor == ExecutorKind::kParallel) {
-    crew = std::make_unique<ParallelMergeCrew>(4);
-    executor = crew.get();
-  }
-
-  for (int round = 0; round < 10; ++round) {
+  for (std::size_t round = 0; round < param.rounds; ++round) {
     std::vector<std::unique_ptr<sched::Vcpu>> storage;
     sched::VcpuList a;
     sched::RunQueue b(0);
@@ -99,7 +88,7 @@ TEST_P(P2smPropertyTest, MergeEqualsReferenceMerge) {
     }
     ASSERT_EQ(run_total, param.a_size);
 
-    ASSERT_TRUE(index.merge(a, b, *executor).is_ok());
+    ASSERT_TRUE(index.merge(a, b).is_ok());
 
     std::vector<sched::Credit> actual;
     for (const sched::Vcpu& vcpu : b.list()) {
@@ -117,46 +106,28 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, P2smPropertyTest,
     ::testing::Values(
         // Corner sizes.
-        P2smCase{1, 0, 100, ExecutorKind::kSequential},
-        P2smCase{1, 1, 100, ExecutorKind::kSequential},
-        P2smCase{36, 0, 100, ExecutorKind::kSequential},
-        P2smCase{1, 128, 100, ExecutorKind::kSequential},
+        P2smCase{1, 0, 100},
+        P2smCase{1, 1, 100},
+        P2smCase{36, 0, 100},
+        P2smCase{1, 128, 100},
         // Paper-shaped: up to 36 vCPUs into a populated queue.
-        P2smCase{36, 64, 1'000, ExecutorKind::kSequential},
-        P2smCase{36, 64, 1'000, ExecutorKind::kParallel},
+        P2smCase{36, 64, 1'000},
         // Tie-dense (range 4 over 100 elements).
-        P2smCase{50, 50, 4, ExecutorKind::kSequential},
-        P2smCase{50, 50, 4, ExecutorKind::kParallel},
+        P2smCase{50, 50, 4},
         // All-distinct (huge range).
-        P2smCase{64, 64, 1'000'000'000, ExecutorKind::kSequential},
+        P2smCase{64, 64, 1'000'000'000},
         // Large lists.
-        P2smCase{512, 1024, 10'000, ExecutorKind::kSequential},
-        P2smCase{512, 1024, 10'000, ExecutorKind::kParallel},
-        P2smCase{1024, 64, 500, ExecutorKind::kSequential}),
+        P2smCase{512, 1024, 10'000},
+        P2smCase{1024, 64, 500}),
     case_name);
 
 /// Randomized sweep: 1000+ independently seeded (A, B) shapes, each merged
 /// once and compared against std::merge of the credit sequences. Sizes and
 /// tie density are drawn per seed, so the sweep covers the corner cases the
 /// fixed table above cannot enumerate (empty A runs before the head, long
-/// tie chains straddling a run boundary, single-element B, ...). The same
-/// shapes are replayed through both executors; the crew is constructed once
-/// and reused — arming it per merge would dominate the runtime and this
-/// sweep is about merge correctness, not handshake latency (the stress
-/// suite owns that).
-class P2smRandomizedSweepTest : public ::testing::TestWithParam<ExecutorKind> {
-};
-
-TEST_P(P2smRandomizedSweepTest, ThousandSeedsMatchStdMerge) {
+/// tie chains straddling a run boundary, single-element B, ...).
+TEST(P2smRandomizedSweepTest, ThousandSeedsMatchStdMerge) {
   constexpr std::uint64_t kSeeds = 1024;
-  SequentialMergeExecutor sequential;
-  std::unique_ptr<ParallelMergeCrew> crew;
-  MergeExecutor* executor = &sequential;
-  if (GetParam() == ExecutorKind::kParallel) {
-    crew = std::make_unique<ParallelMergeCrew>(3);
-    crew->arm();  // resume-burst mode: skip the per-merge wake cost
-    executor = crew.get();
-  }
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     util::Xoshiro256 rng(0x5EEDBA5E * seed + seed);
@@ -199,7 +170,7 @@ TEST_P(P2smRandomizedSweepTest, ThousandSeedsMatchStdMerge) {
 
     P2smIndex index;
     index.rebuild(a, b);
-    ASSERT_TRUE(index.merge(a, b, *executor).is_ok()) << "seed " << seed;
+    ASSERT_TRUE(index.merge(a, b).is_ok()) << "seed " << seed;
 
     std::vector<sched::Credit> actual;
     for (const sched::Vcpu& vcpu : b.list()) {
@@ -211,19 +182,7 @@ TEST_P(P2smRandomizedSweepTest, ThousandSeedsMatchStdMerge) {
     ASSERT_EQ(a.size(), 0u) << "seed " << seed;
     b.list().clear();
   }
-  if (crew) {
-    crew->disarm();
-  }
 }
-
-INSTANTIATE_TEST_SUITE_P(Executors, P2smRandomizedSweepTest,
-                         ::testing::Values(ExecutorKind::kSequential,
-                                           ExecutorKind::kParallel),
-                         [](const auto& info) {
-                           return info.param == ExecutorKind::kSequential
-                                      ? std::string("seq")
-                                      : std::string("par");
-                         });
 
 /// Incremental-maintenance property: a sequence of random insert/remove
 /// operations on A must leave the index equivalent to a fresh rebuild.

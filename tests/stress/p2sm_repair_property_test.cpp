@@ -150,8 +150,7 @@ void run_scenario(std::uint64_t seed, Cadence cadence) {
     expected.push_back(vcpu.credit);
   }
   std::sort(expected.begin(), expected.end());
-  SequentialMergeExecutor executor;
-  ASSERT_TRUE(subject.merge(a, b, executor).is_ok()) << "seed " << seed;
+  ASSERT_TRUE(subject.merge(a, b).is_ok()) << "seed " << seed;
   std::vector<sched::Credit> actual;
   for (const sched::Vcpu& vcpu : b.list()) {
     actual.push_back(vcpu.credit);
