@@ -12,7 +12,13 @@
 // drives an independent single-host SimServer — showing how the routing
 // policy alone shifts per-host load share and cold-start locality before
 // any real threads are involved.
+//
+// Self-check: exits 1 when split_indices' slices do not partition the
+// schedule, or when an overload row's completed + shed + expired differs
+// from its submitted count (a submission lost or counted twice).
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "cluster/sim_cluster.hpp"
 #include "metrics/reporter.hpp"
@@ -58,6 +64,7 @@ void register_fleet(sim::SimServer& server) {
 }  // namespace
 
 int main() {
+  bool accounting_ok = true;
   const auto costs = sim::CostModel::defaults(vmm::VmmProfile::firecracker());
   const auto schedule = hour_of_traffic();
   std::cout << "synthetic Azure hour: " << schedule.size()
@@ -126,6 +133,19 @@ int main() {
     split_params.defaults.slots = 8;
     const auto slices = cluster::split_indices(
         times, fns, split_params, /*service_hint=*/50 * util::kMillisecond);
+    // Every schedule index must land in exactly one slice.
+    std::vector<int> hits(schedule.size(), 0);
+    bool partition = true;
+    for (const auto& slice : slices) {
+      for (const std::uint64_t index : slice) {
+        partition = partition && index < hits.size() && hits[index]++ == 0;
+      }
+    }
+    if (!partition || std::find(hits.begin(), hits.end(), 0) != hits.end()) {
+      std::cerr << "macro_trace_sim: " << cluster::to_string(kind)
+                << " slices do not partition the schedule\n";
+      accounting_ok = false;
+    }
 
     for (std::size_t host = 0; host < slices.size(); ++host) {
       trace::ArrivalSchedule slice;
@@ -211,6 +231,12 @@ int main() {
       }
       const std::uint64_t completed = sim.completions().size();
       const std::uint64_t late = completed - met;
+      if (completed + shed + expired != schedule.size()) {
+        std::cerr << "macro_trace_sim: " << cluster::to_string(kind)
+                  << " admission " << (admission ? "on" : "off")
+                  << ": completed + shed + expired != submitted\n";
+        accounting_ok = false;
+      }
       overload_table.add_row(
           {std::string(cluster::to_string(kind)), admission ? "on" : "off",
            std::to_string(schedule.size()), std::to_string(completed),
@@ -229,5 +255,5 @@ int main() {
                "submitted either way); the met count stays comparable "
                "because shedding only refuses work that was already "
                "doomed by its deadline.\n";
-  return 0;
+  return accounting_ok ? 0 : 1;
 }

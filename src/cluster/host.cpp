@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "cluster/decisions.hpp"
 #include "util/fault_injection.hpp"
 
 namespace horse::cluster {
@@ -187,11 +188,11 @@ void Host::run_task(faas::Submission task, faas::SubmissionOutcome& outcome) {
     std::lock_guard lock(latency_mutex_);
     dispatch_latency_.record(outcome.queueing);
   }
-  // Queue-delay EWMA (α = 1/8) for the scheduler's admission estimate.
+  // Queue-delay EWMA for the scheduler's admission estimate.
   // Benign race: two workers updating concurrently lose at most one
   // sample's weight — it is an estimate, not an account.
   const util::Nanos prev = queueing_ewma_.load(std::memory_order_relaxed);
-  queueing_ewma_.store(prev + (outcome.queueing - prev) / 8,
+  queueing_ewma_.store(ewma_step(prev, outcome.queueing),
                        std::memory_order_relaxed);
   faas::InvokeControls controls;
   controls.now = util::monotonic_now();

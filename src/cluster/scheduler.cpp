@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "cluster/decisions.hpp"
 #include "util/fault_injection.hpp"
 
 namespace horse::cluster {
@@ -216,37 +218,22 @@ void ClusterScheduler::admit_and_dispatch(faas::Submission task) {
                   "admission: spurious shed (fault injection)");
       return;
     }
-    if (task.deadline != 0) {
-      const util::Nanos slack =
-          task.deadline > task.enqueued_at ? task.deadline - task.enqueued_at
-                                           : 0;
-      // Optimistic estimate (min over healthy hosts): shed only when even
-      // the least-loaded host's recent queue delay already eats the whole
-      // slack — executing would only produce a late, worthless response.
-      if (slack == 0 || queue_delay_estimate() > slack) {
-        record_shed(task, faas::SubmissionReject::kQueueShed,
-                    "admission: estimated queue delay exceeds deadline slack");
-        return;
-      }
+    if (task.deadline != 0 &&
+        sheds_on_slack(task.deadline, task.enqueued_at,
+                       queue_delay_estimate())) {
+      record_shed(task, faas::SubmissionReject::kQueueShed,
+                  "admission: estimated queue delay exceeds deadline slack");
+      return;
     }
   }
   dispatch(std::move(task));
 }
 
 util::Nanos ClusterScheduler::queue_delay_estimate() const {
-  util::Nanos best = 0;
-  bool any = false;
-  for (const auto& host : hosts_) {
-    if (!host->healthy()) {
-      continue;
-    }
-    const util::Nanos ewma = host->queueing_ewma();
-    if (!any || ewma < best) {
-      best = ewma;
-      any = true;
-    }
-  }
-  return any ? best : 0;
+  return estimate_queue_delay(hosts_, [](const std::unique_ptr<Host>& host) {
+    return host->healthy() ? std::optional(host->queueing_ewma())
+                           : std::nullopt;
+  });
 }
 
 void ClusterScheduler::record_shed(const faas::Submission& task,
@@ -295,6 +282,8 @@ void ClusterScheduler::dispatch(faas::Submission task) {
       meta.mode = task.mode;
       meta.seq = task.seq;
       meta.key = task.key;
+      meta.workflow = task.workflow;
+      meta.hop = task.hop;
       if (!pull_queue_->try_push(std::move(task))) {
         shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
         record_shed(meta, faas::SubmissionReject::kQueueFull,
@@ -311,38 +300,30 @@ void ClusterScheduler::dispatch(faas::Submission task) {
 
 Host& ClusterScheduler::select_host_locked(faas::FunctionId function) {
   const bool want_warm = config_.policy == PolicyKind::kMostWarmSlots;
-  std::vector<HostSnapshot> snapshots;
-  std::vector<Host*> healthy;
-  snapshots.reserve(hosts_.size());
+  std::vector<HostSnapshot> healthy;
   healthy.reserve(hosts_.size());
   for (auto& host : hosts_) {
     if (host->healthy()) {
-      snapshots.push_back(host->snapshot(function, want_warm));
-      healthy.push_back(host.get());
+      healthy.push_back(host->snapshot(function, want_warm));
     }
   }
-  if (healthy.empty()) {
-    // Bottom ladder rung: never drop a request. Force-recover host 0 and
-    // route there; the stall model means the host works again once its
-    // workers are unparked (a crashed host's restart is forced too).
+  const Route route = route_to_healthy(*policy_, healthy, function);
+  if (route.forced) {
+    // Bottom ladder rung: the stall model means host 0 works again once
+    // its workers are unparked (a crashed host's restart is forced too).
     forced_routes_.fetch_add(1, std::memory_order_relaxed);
     hosts_.front()->force_recover();
     // The recovered host leaves the out-of-rotation set, so the gauge
     // comes down with it (identity: quarantine events == gauge + rejoins
     // + forced routes).
     gauge_decrement_quarantined();
-    policy_decisions_.front()++;
-    return *hosts_.front();
-  }
-  if (healthy.size() == 1 && hosts_.size() > 1) {
+  } else if (healthy.size() == 1 && hosts_.size() > 1) {
     // One rung above: the cluster has gracefully degraded to single-host
     // dispatch (sticky, observable; routing still works).
     degraded_single_host_.store(true, std::memory_order_release);
   }
-  const std::size_t choice = policy_->select(snapshots, function);
-  Host& chosen = *healthy[choice < healthy.size() ? choice : 0];
-  policy_decisions_[chosen.id()]++;
-  return chosen;
+  policy_decisions_[route.host]++;
+  return *hosts_[route.host];
 }
 
 void ClusterScheduler::check_health() {
@@ -422,19 +403,16 @@ void ClusterScheduler::declare_dead_locked(std::size_t index, util::Nanos now) {
     dispatch(std::move(task));
   }
   // In-flight orphans: the dispatcher always finishes a dequeued task, so
-  // each of these WILL surface a late (zombie) completion. Register the
-  // key in the ledger and re-dispatch a copy — drain() keeps whichever
-  // outcome lands first and suppresses the other.
+  // each of these WILL surface a late (zombie) completion. Adopt the key
+  // in the ledger and re-dispatch a copy — drain() keeps whichever outcome
+  // lands first and suppresses the other. A copy from an earlier death is
+  // not adopted: a third outcome would break the drain arithmetic
+  // (submitted + orphans_redispatched).
   for (auto& task : host.take_inflight()) {
-    if (task.redispatched) {
-      // Already a re-dispatched copy (stolen off an earlier death): its
-      // zombie completion is the one surviving outcome for its key.
-      // Re-dispatching again would mint a THIRD outcome and break the
-      // drain arithmetic (submitted + orphans_redispatched).
+    if (!orphans_.adopt(task.key, task.redispatched)) {
       continue;
     }
-    orphan_keys_.insert(task.key);
-    orphan_ledger_.store(orphan_keys_.size(), std::memory_order_relaxed);
+    orphan_ledger_.store(orphans_.size(), std::memory_order_relaxed);
     orphans_redispatched_.fetch_add(1, std::memory_order_relaxed);
     task.redispatched = true;
     dispatch(std::move(task));
@@ -494,32 +472,24 @@ std::vector<faas::SubmissionOutcome> ClusterScheduler::drain() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::vector<faas::SubmissionOutcome> out;
-  std::uint64_t suppressed = 0;
   {
     // Ledger consultation only — no dispatching happens under this hold,
     // so the health → dispatch lock edge is not exercised here.
     std::lock_guard guard(health_mutex_);
     for (auto& host : hosts_) {
       for (auto& outcome : host->dispatcher().take_outcomes()) {
-        if (outcome.key != 0 && orphan_keys_.contains(outcome.key) &&
-            !delivered_orphans_.insert(outcome.key).second) {
-          // Second sighting of an orphaned key: zombie vs re-dispatched
-          // copy, whichever landed later. Suppressed as a typed
-          // kDuplicateSuppressed — counted, never surfaced, so every
-          // submission completes exactly once. The dispatcher always
-          // finishes a dequeued task and a copy is never orphaned again,
-          // so no third outcome can follow: the key retires here.
-          orphan_keys_.erase(outcome.key);
-          delivered_orphans_.erase(outcome.key);
-          ++suppressed;
-          continue;
+        // An orphan's later outcome (zombie or re-dispatched copy) is a
+        // typed kDuplicateSuppressed — counted, never surfaced, so every
+        // submission completes exactly once.
+        if (orphans_.deliver(outcome.key)) {
+          out.push_back(std::move(outcome));
         }
-        out.push_back(std::move(outcome));
       }
     }
-    orphan_ledger_.store(orphan_keys_.size(), std::memory_order_relaxed);
+    orphan_ledger_.store(orphans_.size(), std::memory_order_relaxed);
+    duplicates_suppressed_.store(orphans_.suppressed(),
+                                 std::memory_order_relaxed);
   }
-  duplicates_suppressed_.fetch_add(suppressed, std::memory_order_relaxed);
   {
     std::lock_guard lock(shed_mutex_);
     for (auto& outcome : shed_outcomes_) {

@@ -21,6 +21,10 @@
 // hosts' own atomics at call time; quarantining a host writes one flag
 // on the host, not a parallel registry here.
 //
+// The decisions themselves (admission estimate and shed rule, queueing
+// EWMA, healthy-host routing, orphan ledger) live in cluster/decisions.hpp,
+// shared with SimCluster; this class adds the locks, atomics and threads.
+//
 // Health & degradation ladder (extends DESIGN.md §5.2 to the cluster):
 // a host whose cluster.host_stall fault fires parks its workers. The
 // health sweep (every `health_check_interval` submissions, on the
@@ -41,18 +45,13 @@
 //     non-responsive host misses its lease deadline, and after
 //     `missed_to_death` consecutive misses the sweep declares it dead.
 //     A background sweeper thread ticks every `sweep_period` so an IDLE
-//     cluster notices dead hosts too (sweeps used to run only on
-//     submission activity).
+//     cluster notices dead hosts too.
 //   * Exactly-once orphan recovery — declared death steals both the
 //     dead host's queued backlog AND its in-flight set. In-flight
-//     orphans are re-dispatched through a dedup ledger keyed on the
-//     submission's idempotency key: the dispatcher always finishes a
-//     dequeued task, so the dead host eventually emits a LATE (zombie)
-//     completion for each orphan — drain() surfaces exactly one of
-//     {zombie, re-dispatched copy} per key and suppresses the other as
-//     kDuplicateSuppressed. Property: every submission completes
-//     exactly once XOR is shed with a typed outcome — never zero,
-//     never twice.
+//     orphans are re-dispatched through the OrphanLedger, keyed on the
+//     submission's idempotency key; drain() suppresses each key's second
+//     outcome (zombie or copy) as kDuplicateSuppressed. Property: every
+//     submission completes exactly once XOR is shed with a typed outcome.
 //   * Rejoin — quarantine is no longer sticky. Unhealthy hosts get
 //     half-open liveness probes on a full-jitter util::Backoff
 //     schedule; a probe that answers (stall cleared, or crashed host
@@ -91,9 +90,9 @@
 #include <mutex>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
+#include "cluster/decisions.hpp"
 #include "cluster/host.hpp"
 #include "cluster/load_balance.hpp"
 #include "faas/platform.hpp"
@@ -311,9 +310,8 @@ class ClusterScheduler {
   void submit_chain(faas::WorkflowId workflow, workloads::Request request,
                     faas::StartMode mode, util::Nanos deadline = 0);
 
-  /// The admission check's queue-delay estimate: minimum dispatch-latency
-  /// EWMA over healthy hosts (optimistic — the cluster sheds only when
-  /// EVERY healthy host is already backed up past the slack).
+  /// The admission check's queue-delay estimate (estimate_queue_delay
+  /// over the hosts' dispatch-latency EWMAs).
   [[nodiscard]] util::Nanos queue_delay_estimate() const;
 
   /// Wait for every accepted submission and take the outcomes (from all
@@ -402,13 +400,9 @@ class ClusterScheduler {
   // --- crash tolerance (DESIGN.md §5.7) ------------------------------------
   /// Per-host leases; indexed like hosts_. Guarded by health_mutex_.
   std::vector<HostLease> leases_;
-  /// Orphan ledger (health_mutex_): keys of in-flight submissions stolen
-  /// off declared-dead hosts. delivered_orphans_ records which of those
-  /// keys already surfaced one outcome — the second one is suppressed and
-  /// retires the key from both sets. orphan_ledger_ mirrors
-  /// orphan_keys_.size() for counters().
-  std::unordered_set<std::uint64_t> orphan_keys_;
-  std::unordered_set<std::uint64_t> delivered_orphans_;
+  /// Keys of in-flight submissions stolen off declared-dead hosts
+  /// (health_mutex_); orphan_ledger_ holds its size for counters().
+  OrphanLedger orphans_;
   std::atomic<std::uint64_t> orphan_ledger_{0};
   /// Half-open probe schedule; rng state guarded by health_mutex_.
   util::Backoff probe_backoff_;

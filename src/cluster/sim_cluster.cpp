@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "cluster/decisions.hpp"
 
 namespace horse::cluster {
 
@@ -52,38 +55,13 @@ util::Nanos SimCluster::jittered(util::Nanos service) {
   return static_cast<util::Nanos>(static_cast<double>(service) * factor);
 }
 
-util::Nanos SimCluster::queue_delay_estimate() const {
-  util::Nanos best = 0;
-  bool any = false;
-  for (const SimHost& host : hosts_) {
-    if (!host.healthy) {
-      continue;
-    }
-    if (!any || host.queueing_ewma < best) {
-      best = host.queueing_ewma;
-      any = true;
-    }
-  }
-  return any ? best : 0;
-}
-
-void SimCluster::retire_orphan(std::uint64_t seq) {
-  // Second sighting: both the zombie and the copy have landed, and a copy
-  // is never orphaned again, so the seq can never be seen a third time.
-  ++duplicates_suppressed_;
-  orphan_seqs_.erase(seq);
-  delivered_orphans_.erase(seq);
-}
-
 void SimCluster::record_rejection(const Task& task, util::Nanos at,
                                   faas::SubmissionReject reject) {
   // The ledger covers rejections too: if an orphan's re-dispatched copy
   // expires at dequeue AFTER its zombie already completed (or vice
   // versa), the second typed outcome is suppressed — exactly one outcome
   // per seq, whatever its kind.
-  if (orphan_seqs_.contains(task.seq) &&
-      !delivered_orphans_.insert(task.seq).second) {
-    retire_orphan(task.seq);
+  if (!ledger_.deliver(task.seq)) {
     return;
   }
   SimRejection rejection;
@@ -109,8 +87,7 @@ void SimCluster::start_on(HostId id, Task task, util::Nanos at) {
   // the stolen copy keeps the nominal (pre-scaling) service time so a
   // re-dispatched orphan re-scales on its rescue host, as in reality.
   host.running.emplace(task.seq, task);
-  // Same α = 1/8 update the real Host applies at task pickup.
-  host.queueing_ewma += ((at - task.arrival) - host.queueing_ewma) / 8;
+  host.queueing_ewma = ewma_step(host.queueing_ewma, at - task.arrival);
   ++host.in_flight;
   // Chains scale stage-by-stage so the finish time equals the last stage
   // boundary exactly — declare_dead's hop arithmetic and the finish heap
@@ -139,44 +116,46 @@ void SimCluster::start_on(HostId id, Task task, util::Nanos at) {
 
 void SimCluster::push_dispatch(Task task, util::Nanos at) {
   std::vector<HostSnapshot> candidates;
-  std::vector<HostId> healthy;
   candidates.reserve(hosts_.size());
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     if (hosts_[i].healthy) {
       candidates.push_back(snapshot_of(i));
-      healthy.push_back(i);
     }
   }
-  SimDecision decision;
-  decision.seq = task.seq;
-  decision.time = at;
-  decision.function = task.function;
-  HostId chosen = 0;
-  if (healthy.empty()) {
-    // Ladder bottom: never drop — force host 0, as the real scheduler
-    // force-recovers it.
-    decision.forced = true;
+  const Route route = route_to_healthy(*policy_, candidates, task.function);
+  if (route.forced) {
+    // Host::force_recover, in virtual time.
     ++forced_;
-  } else {
-    const std::size_t index = policy_->select(candidates, task.function);
-    chosen = healthy[index < healthy.size() ? index : 0];
-    decision.candidates = std::move(candidates);
+    hosts_[route.host].healthy = true;
+    hosts_[route.host].crashed = false;
   }
-  decision.host = chosen;
-  decisions_.push_back(std::move(decision));
+  SimDecision& decision = log_event(SimEventKind::kDispatch, route.host, at);
+  decision.seq = task.seq;
+  decision.function = task.function;
+  decision.forced = route.forced;
+  decision.candidates = std::move(candidates);
+  place(route.host, std::move(task), at);
+}
 
-  SimHost& host = hosts_[chosen];
+void SimCluster::place(HostId id, Task task, util::Nanos at) {
+  SimHost& host = hosts_.at(id);
   ++host.dispatched;
-  if (host.in_flight < host.params.slots) {
+  if (host.in_flight >= host.params.slots) {
+    host.queue.push_back(std::move(task));
+  } else if (!expire_if_due(task, at)) {
     // Starting now IS the dequeue; a task whose deadline has already
     // passed is expired instead of run (the slot stays free).
-    if (expire_if_due(task, at)) {
-      return;
-    }
-    start_on(chosen, std::move(task), at);
-  } else {
-    host.queue.push_back(std::move(task));
+    start_on(id, std::move(task), at);
   }
+}
+
+SimDecision& SimCluster::log_event(SimEventKind kind, HostId host,
+                                   util::Nanos at) {
+  SimDecision& entry = decisions_.emplace_back();
+  entry.kind = kind;
+  entry.host = host;
+  entry.time = at;
+  return entry;
 }
 
 void SimCluster::pull_try_bind(util::Nanos at) {
@@ -209,12 +188,9 @@ void SimCluster::pull_try_bind(util::Nanos at) {
     if (expire_if_due(task, at)) {
       continue;
     }
-    SimDecision decision;
+    SimDecision& decision = log_event(SimEventKind::kDispatch, best, at);
     decision.seq = task.seq;
-    decision.time = at;
     decision.function = task.function;
-    decision.host = best;
-    decisions_.push_back(std::move(decision));
     ++hosts_[best].dispatched;
     start_on(best, std::move(task), at);
   }
@@ -238,13 +214,9 @@ void SimCluster::complete_due(util::Nanos now) {
     done.chain_hop = finish.task.hop;
     done.chain_stages =
         static_cast<std::uint32_t>(finish.task.stage_services.size());
-    // Dedup ledger: an orphaned seq delivers exactly one completion —
-    // zombie or re-dispatched copy, whichever finishes first; the second
-    // sighting is suppressed (the scheduler's drain()-merge mirror).
-    if (orphan_seqs_.contains(done.seq) &&
-        !delivered_orphans_.insert(done.seq).second) {
-      retire_orphan(done.seq);
-    } else {
+    // An orphaned seq delivers exactly one completion — zombie or
+    // re-dispatched copy, whichever finishes first.
+    if (ledger_.deliver(done.seq)) {
       completions_.push_back(done);
     }
     if (params_.dispatch == DispatchMode::kPush) {
@@ -341,8 +313,12 @@ void SimCluster::submit_chain(util::Nanos at, faas::FunctionId function,
 
 void SimCluster::admit_or_dispatch(Task task, util::Nanos at) {
   if (params_.admission && task.deadline != 0) {
-    const util::Nanos slack = task.deadline > at ? task.deadline - at : 0;
-    if (slack == 0 || queue_delay_estimate() > slack) {
+    const util::Nanos estimate =
+        estimate_queue_delay(hosts_, [](const SimHost& host) {
+          return host.healthy ? std::optional(host.queueing_ewma)
+                              : std::nullopt;
+        });
+    if (sheds_on_slack(task.deadline, at, estimate)) {
       record_rejection(task, at, faas::SubmissionReject::kQueueShed);
       return;
     }
@@ -353,6 +329,10 @@ void SimCluster::admit_or_dispatch(Task task, util::Nanos at) {
       return;
     }
   }
+  dispatch(std::move(task), at);
+}
+
+void SimCluster::dispatch(Task task, util::Nanos at) {
   if (params_.dispatch == DispatchMode::kPull) {
     shared_queue_.push_back(std::move(task));
     pull_try_bind(at);
@@ -399,12 +379,7 @@ void SimCluster::redispatch(std::uint64_t seq, util::Nanos at) {
   }
   Task task = std::move(*it);
   stolen_.erase(it);
-  if (params_.dispatch == DispatchMode::kPull) {
-    shared_queue_.push_back(std::move(task));
-    pull_try_bind(at);
-  } else {
-    push_dispatch(std::move(task), at);
-  }
+  dispatch(std::move(task), at);
 }
 
 void SimCluster::crash_host(HostId host, util::Nanos at) {
@@ -413,11 +388,7 @@ void SimCluster::crash_host(HostId host, util::Nanos at) {
   victim.crashed = true;
   victim.healthy = false;
   victim.params.warm_slots = 0;  // a dead host's warm state is gone
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kCrash;
-  decisions_.push_back(std::move(event));
+  log_event(SimEventKind::kCrash, host, at);
 }
 
 std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
@@ -425,14 +396,8 @@ std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
   advance_to(at);
   SimHost& victim = hosts_.at(host);
   victim.healthy = false;
-  std::vector<std::uint64_t> seqs;
   // Queued backlog: never started, so plain exactly-once re-dispatch.
-  for (Task& task : victim.queue) {
-    seqs.push_back(task.seq);
-    task.redispatched = true;
-    stolen_.push_back(std::move(task));
-  }
-  victim.queue.clear();
+  std::vector<std::uint64_t> seqs = steal_backlog(host);
   // In-flight orphans: their Finish entries stay scheduled (the host
   // always finishes a started task — the zombie), and a fresh copy goes
   // through the ledger so exactly one completion per seq survives.
@@ -447,9 +412,7 @@ std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
   std::sort(orphans.begin(), orphans.end(),
             [](const Task& a, const Task& b) { return a.seq < b.seq; });
   for (Task& task : orphans) {
-    if (task.redispatched) {
-      // A copy already re-dispatched off an earlier death: its zombie IS
-      // the surviving outcome; a second copy would make three sightings.
+    if (!ledger_.adopt(task.seq, task.redispatched)) {
       continue;
     }
     if (!task.stage_services.empty()) {
@@ -478,16 +441,11 @@ std::vector<std::uint64_t> SimCluster::declare_dead(HostId host,
       }
       task.service = remaining;
     }
-    orphan_seqs_.insert(task.seq);
     seqs.push_back(task.seq);
     task.redispatched = true;
     stolen_.push_back(std::move(task));
   }
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kDeclareDead;
-  decisions_.push_back(std::move(event));
+  log_event(SimEventKind::kDeclareDead, host, at);
   return seqs;
 }
 
@@ -498,11 +456,7 @@ void SimCluster::recover_host(HostId host, util::Nanos at,
   revived.crashed = false;
   revived.healthy = true;
   revived.params.warm_slots = rehydrated_warm_slots;
-  SimDecision event;
-  event.time = at;
-  event.host = host;
-  event.kind = SimEventKind::kRejoin;
-  decisions_.push_back(std::move(event));
+  log_event(SimEventKind::kRejoin, host, at);
   if (params_.dispatch == DispatchMode::kPull) {
     pull_try_bind(at);  // the rejoined host's slots are pullable again
   }
@@ -515,13 +469,7 @@ void SimCluster::occupy(HostId host, std::size_t count, util::Nanos service) {
     task.function = 0;
     task.arrival = now_;
     task.service = service;
-    SimHost& target = hosts_.at(host);
-    ++target.dispatched;
-    if (target.in_flight < target.params.slots) {
-      start_on(host, std::move(task), now_);
-    } else {
-      target.queue.push_back(std::move(task));
-    }
+    place(host, std::move(task), now_);
   }
 }
 

@@ -8,12 +8,13 @@
 // what lets the property tests sweep 1024 seeds and re-run any failure
 // from its seed alone.
 //
-// The model exercises the REAL policy objects (cluster/load_balance.hpp):
-// policies see HostSnapshots built from modelled hosts exactly the way the
-// real scheduler builds them from Dispatcher counters, so a policy bug
-// caught here is a policy bug in production.
+// The model runs the REAL decision code: the policy objects see
+// HostSnapshots built from modelled hosts exactly the way the real
+// scheduler builds them from Dispatcher counters, and every other cluster
+// decision comes from cluster/decisions.hpp, as the scheduler's do. A
+// decision bug caught here is a decision bug in production.
 //
-// Dispatch modes mirror the real scheduler:
+// Dispatch modes match the real scheduler's:
 //   * push — early binding: the policy picks a host at submit time; the
 //     task queues there even if the host is busy (head-of-line blocking is
 //     faithfully modelled — this is what E18 measures).
@@ -29,12 +30,12 @@
 // it was made from, so invariants ("never picked a strictly-more-loaded
 // host") are checked against the exact evidence the policy saw.
 //
-// Crash mirror (the real scheduler's §5.7 model in virtual time):
+// Crash model (the real scheduler's §5.7 model in virtual time):
 // crash_host() kills a host wholesale — out of rotation, warm slots gone,
 // but tasks already started STILL finish (the dispatcher-always-finishes
 // rule) and surface as zombie completions. declare_dead() steals the
 // queued backlog AND the in-flight orphans (the caller re-dispatches, as
-// the scheduler does) and registers the orphan seqs in a dedup ledger:
+// the scheduler does) and adopts the orphan seqs in the OrphanLedger:
 // exactly one of {zombie, re-dispatched copy} lands in completions(); the
 // other bumps duplicates_suppressed(). recover_host() models restart +
 // warm rejoin (rehydrated warm slots restored). All three log typed
@@ -47,9 +48,9 @@
 #include <memory>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cluster/decisions.hpp"
 #include "cluster/load_balance.hpp"
 #include "cluster/scheduler.hpp"
 #include "metrics/histogram.hpp"
@@ -77,9 +78,9 @@ struct SimClusterParams {
   DispatchMode dispatch = DispatchMode::kPush;
   PolicyKind policy = PolicyKind::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Cluster-style admission control, mirrored in virtual time: acts only
-  /// on deadline-carrying submissions (sheds when the per-host queueing
-  /// EWMA exceeds the remaining slack; expires stale tasks at dequeue).
+  /// Cluster admission control in virtual time: acts only on
+  /// deadline-carrying submissions (sheds when the per-host queueing EWMA
+  /// exceeds the remaining slack; expires stale tasks at dequeue).
   bool admission = true;
   /// Pull-mode shared-queue bound; 0 = unbounded. A deadline submission
   /// arriving at a full queue is rejected kQueueFull.
@@ -168,7 +169,7 @@ class SimCluster {
   void submit(util::Nanos at, faas::FunctionId function, util::Nanos service,
               util::Nanos deadline);
 
-  /// Submit a workflow chain as ONE routed unit (the submit_chain mirror):
+  /// Submit a workflow chain as ONE routed unit (as the scheduler does):
   /// `function` is the chain's entry-stage identity (what routing sees),
   /// `stage_services` the nominal per-stage service times. One jitter
   /// draw scales the whole chain, so chain and plain submissions each
@@ -201,7 +202,7 @@ class SimCluster {
   /// Re-dispatch a stolen task (by its original seq) at time `at`.
   void redispatch(std::uint64_t seq, util::Nanos at);
 
-  // --- crash mirror --------------------------------------------------------
+  // --- crash model ---------------------------------------------------------
 
   /// Kill a host wholesale at `at`: out of rotation, warm slots gone.
   /// Tasks it already started still run to completion (zombies); its
@@ -210,10 +211,8 @@ class SimCluster {
 
   /// The failure detector's verdict, in virtual time: steal the dead
   /// host's queued backlog AND its in-flight orphans into the stolen set,
-  /// register the orphan seqs in the dedup ledger, and return every seq
-  /// for the caller to redispatch() — exactly what the scheduler does at
-  /// declared death. Orphans' zombie completions are then deduped:
-  /// exactly one outcome per seq survives.
+  /// adopt the orphan seqs in the OrphanLedger, and return every seq for
+  /// the caller to redispatch() — as the scheduler does at declared death.
   [[nodiscard]] std::vector<std::uint64_t> declare_dead(HostId host,
                                                         util::Nanos at);
 
@@ -229,12 +228,12 @@ class SimCluster {
   /// Zombie completions dropped by the dedup ledger (each orphaned seq
   /// completes exactly once; the other sighting lands here).
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
-    return duplicates_suppressed_;
+    return ledger_.suppressed();
   }
   /// Orphaned seqs still awaiting their second sighting (the dedup ledger
   /// size); 0 once every zombie and copy has landed.
   [[nodiscard]] std::size_t orphan_ledger_size() const noexcept {
-    return orphan_seqs_.size();
+    return ledger_.size();
   }
 
   /// Pre-load `count` synthetic tasks of `service` each onto a host at the
@@ -271,7 +270,7 @@ class SimCluster {
     util::Nanos service = 0;
     util::Nanos deadline = 0;  // absolute; 0 = none
     bool redispatched = false;
-    /// Chain mirror: post-jitter nominal per-stage services (empty =
+    /// Chain state: post-jitter nominal per-stage services (empty =
     /// plain task), the hop cursor (first stage still to run), and the
     /// virtual time the current execution started (set by start_on; what
     /// declare_dead uses to place the dying host's stage boundaries).
@@ -290,8 +289,8 @@ class SimCluster {
     /// copies) — the in-flight set declare_dead() steals orphans from.
     std::unordered_map<std::uint64_t, Task> running;
     std::uint64_t dispatched = 0;
-    /// Virtual-time queueing EWMA (α = 1/8), the admission estimate —
-    /// the mirror of Host::queueing_ewma().
+    /// Virtual-time Host::queueing_ewma() (ewma_step), the admission
+    /// estimate's input.
     util::Nanos queueing_ewma = 0;
   };
 
@@ -309,8 +308,15 @@ class SimCluster {
   /// Shared tail of submit()/submit_chain(): admission (deadline-slack
   /// shed, bounded pull queue), then dispatch by mode.
   void admit_or_dispatch(Task task, util::Nanos at);
+  /// Hand an admitted (or re-dispatched) task to its dispatch mode.
+  void dispatch(Task task, util::Nanos at);
   void start_on(HostId id, Task task, util::Nanos at);
   void push_dispatch(Task task, util::Nanos at);
+  /// Count a dispatch to host `id`: start `task` if a slot is free (or
+  /// expire it, if past its deadline), else queue it in the push backlog.
+  void place(HostId id, Task task, util::Nanos at);
+  /// Append a decision-log entry; the caller fills in dispatch details.
+  SimDecision& log_event(SimEventKind kind, HostId host, util::Nanos at);
   void pull_try_bind(util::Nanos at);
   void complete_due(util::Nanos now);
   [[nodiscard]] util::Nanos jittered(util::Nanos service);
@@ -319,10 +325,6 @@ class SimCluster {
   bool expire_if_due(const Task& task, util::Nanos at);
   void record_rejection(const Task& task, util::Nanos at,
                         faas::SubmissionReject reject);
-  /// Suppress an orphan's second outcome and drop its seq from the ledger.
-  void retire_orphan(std::uint64_t seq);
-  /// Min queueing EWMA over healthy hosts (the admission estimate).
-  [[nodiscard]] util::Nanos queue_delay_estimate() const;
 
   SimClusterParams params_;
   std::unique_ptr<LoadBalancePolicy> policy_;
@@ -334,12 +336,8 @@ class SimCluster {
   std::vector<SimCompletion> completions_;
   std::vector<SimRejection> rejections_;
   std::vector<Task> stolen_;  // parked between steal_backlog and redispatch
-  /// Dedup ledger, mirroring the scheduler's: seqs orphaned off dead
-  /// hosts, and which of those already delivered their one completion. A
-  /// seq leaves both sets at its second sighting (retire_orphan).
-  std::unordered_set<std::uint64_t> orphan_seqs_;
-  std::unordered_set<std::uint64_t> delivered_orphans_;
-  std::uint64_t duplicates_suppressed_ = 0;
+  /// Seqs orphaned off dead hosts, keyed like the scheduler's keys.
+  OrphanLedger ledger_;
   util::Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_order_ = 0;

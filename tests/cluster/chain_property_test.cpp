@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -234,6 +235,56 @@ TEST(ChainClusterTest, ChainsAndPlainSubmissionsShareOneOutcomeSpace) {
     }
   }
   EXPECT_EQ(chains_seen, kChains);
+}
+
+TEST(ChainClusterTest, PullQueueFullShedNamesTheWorkflow) {
+  ClusterConfig config;
+  config.num_hosts = 1;
+  config.workers_per_host = 1;
+  config.dispatch = DispatchMode::kPull;
+  config.pull_queue_capacity = 1;
+  config.platform.num_cpus = 2;
+  ClusterScheduler cluster(config);
+  const auto gate = std::make_shared<test_harness::GatedFunction>();
+  const auto gated = cluster.register_function([&gate] {
+    faas::FunctionSpec spec = filter_spec();
+    spec.name = "gated";
+    spec.implementation = gate;
+    spec.sandbox.name = "gated-sb";
+    return spec;
+  });
+  const auto nat = cluster.register_function(nat_spec);
+  const auto filter = cluster.register_function(filter_spec);
+  ASSERT_TRUE(gated && nat && filter);
+  faas::WorkflowSpec spec;
+  spec.name = "nat-filter";
+  spec.stages = {*nat, *filter};
+  const auto workflow = cluster.register_workflow(spec);
+  ASSERT_TRUE(workflow) << workflow.status().to_report();
+
+  // The only worker is held inside the gate, so the first deadline chain
+  // fills the 1-deep pull queue and the second is shed kQueueFull.
+  cluster.submit(*gated, workloads::Request{}, faas::StartMode::kCold);
+  gate->wait_entered();
+  const util::Nanos deadline = util::monotonic_now() + 10 * util::kSecond;
+  cluster.submit_chain(*workflow, chain_request(), faas::StartMode::kCold,
+                       deadline);
+  cluster.submit_chain(*workflow, chain_request(), faas::StartMode::kCold,
+                       deadline);
+  gate->open();
+  const auto outcomes = cluster.drain();
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(cluster.counters().shed_queue_full, 1u);
+  int queue_full = 0;
+  for (const auto& outcome : outcomes) {
+    if (outcome.reject == faas::SubmissionReject::kQueueFull) {
+      ++queue_full;
+      EXPECT_EQ(outcome.workflow, *workflow);
+      EXPECT_EQ(outcome.chain_first_hop, 0u);
+      EXPECT_EQ(outcome.function, *nat);
+    }
+  }
+  EXPECT_EQ(queue_full, 1);
 }
 
 TEST(ChainClusterTest, UnknownWorkflowRefusedTyped) {

@@ -6,19 +6,18 @@
 // CMake).
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <string_view>
 
 #include "cluster/scheduler.hpp"
+#include "cluster_harness.hpp"
 #include "util/fault_injection.hpp"
 #include "workloads/array_filter.hpp"
-#include "workloads/function.hpp"
 
 namespace horse::cluster {
 namespace {
+
+using test_harness::GatedFunction;
 
 faas::FunctionSpec filter_spec() {
   faas::FunctionSpec spec;
@@ -207,48 +206,6 @@ TEST_F(ClusterFaultTest, CrashedHostIsDeclaredDeadAndBacklogRedispatched) {
   EXPECT_EQ(counters.duplicates_suppressed, counters.orphans_redispatched)
       << "every orphan's zombie completion must be suppressed exactly once";
 }
-
-/// A workload whose every invocation blocks until open(): in flight for
-/// exactly as long as the test needs, however the host schedules it. The
-/// body runs under its platform shard's mutex, so while the gate is shut
-/// the test must not call anything that takes that lock (counters() does);
-/// wait_entered() is the lock-free way to know the body has started.
-class GatedFunction final : public workloads::Function {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "gated";
-  }
-  [[nodiscard]] workloads::Category category() const noexcept override {
-    return workloads::Category::kCategory3;
-  }
-  workloads::Response invoke(const workloads::Request& /*request*/) override {
-    std::unique_lock lock(mutex_);
-    ++entered_;
-    changed_.notify_all();
-    changed_.wait(lock, [this] { return open_; });
-    return {};
-  }
-  [[nodiscard]] util::Nanos nominal_duration() const noexcept override {
-    return util::kMicrosecond;
-  }
-  void wait_entered() {
-    std::unique_lock lock(mutex_);
-    changed_.wait(lock, [this] { return entered_ > 0; });
-  }
-  void open() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    changed_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable changed_;
-  int entered_ = 0;
-  bool open_ = false;
-};
 
 TEST_F(ClusterFaultTest, ZombieCompletionIsSuppressedExactlyOnce) {
   ClusterConfig config = make_config(2, DispatchMode::kPull);

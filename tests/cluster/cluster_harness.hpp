@@ -4,16 +4,22 @@
 // PR 1 harness conventions to the cluster layer: a failing property run
 // prints its seed, and re-running with that seed alone reproduces the
 // exact workload, the exact SimCluster decision log, and the failure.
+// GatedFunction, at the end, serves the real-threaded tests instead: it
+// holds a worker in flight for exactly as long as a test needs.
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "cluster/sim_cluster.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+#include "workloads/function.hpp"
 
 namespace horse::cluster::test_harness {
 
@@ -152,5 +158,47 @@ inline std::vector<std::uint64_t> decision_counts(const SimCluster& cluster,
   }
   return counts;
 }
+
+/// A workload whose every invocation blocks until open(): in flight for
+/// exactly as long as the test needs, however the host schedules it. The
+/// body runs under its platform shard's mutex, so while the gate is shut
+/// the test must not call anything that takes that lock (counters() does);
+/// wait_entered() is the lock-free way to know the body has started.
+class GatedFunction final : public workloads::Function {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "gated";
+  }
+  [[nodiscard]] workloads::Category category() const noexcept override {
+    return workloads::Category::kCategory3;
+  }
+  workloads::Response invoke(const workloads::Request& /*request*/) override {
+    std::unique_lock lock(mutex_);
+    ++entered_;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return open_; });
+    return {};
+  }
+  [[nodiscard]] util::Nanos nominal_duration() const noexcept override {
+    return util::kMicrosecond;
+  }
+  void wait_entered() {
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void open() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int entered_ = 0;
+  bool open_ = false;
+};
 
 }  // namespace horse::cluster::test_harness

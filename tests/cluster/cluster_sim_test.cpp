@@ -125,15 +125,22 @@ TEST(SimClusterTest, JitterStreamDependsOnSeed) {
 TEST(SimClusterTest, ForcedRouteWhenNoHostIsHealthy) {
   SimCluster sim(
       base_params(2, DispatchMode::kPush, PolicyKind::kRoundRobin, 1));
-  sim.set_healthy(0, false);
+  sim.crash_host(0, 0);
   sim.set_healthy(1, false);
+  // The forced route recovers host 0 (healthy, not crashed), as
+  // Host::force_recover does; otherwise the second submission, queued
+  // behind the first on host 0's single slot (base_params), never runs.
   sim.submit(0, 0, 10);
+  sim.submit(0, 1, 10);
   EXPECT_EQ(sim.forced_routes(), 1u);
-  ASSERT_EQ(sim.decisions().size(), 1u);
-  EXPECT_TRUE(sim.decisions()[0].forced);
-  EXPECT_EQ(sim.decisions()[0].host, 0u);
+  EXPECT_FALSE(sim.host_crashed(0));
+  ASSERT_EQ(sim.decisions().size(), 3u);  // crash event + two routes
+  EXPECT_TRUE(sim.decisions()[1].forced);
+  EXPECT_EQ(sim.decisions()[1].host, 0u);
+  EXPECT_FALSE(sim.decisions()[2].forced);
+  EXPECT_EQ(sim.decisions()[2].host, 0u);
   sim.run_to_completion();
-  EXPECT_EQ(sim.completions().size(), 1u);
+  EXPECT_EQ(sim.completions().size(), 2u);
 }
 
 TEST(SimClusterTest, StolenBacklogRedispatchesExactlyOnce) {
