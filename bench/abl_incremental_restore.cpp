@@ -112,10 +112,11 @@ int main() {
   }
 
   table.print(std::cout);
-  std::cout << "\nNote: the base+delta copy includes duplicating the base "
-               "image, so the win shows in the *delta capture* and page-in "
-               "volume; a FaaSnap-grade lazy restore would map the base "
-               "copy-on-write and make the dirty columns sub-1.00x.\n";
+  std::cout << "\nNote: the full-image row includes restore()'s integrity "
+               "checksum over the whole image; the incremental path compares "
+               "stored checksums only. The base+delta copy includes "
+               "duplicating the base image, so the copy itself stays flat; a "
+               "FaaSnap-grade lazy restore would map the base copy-on-write.\n";
   (void)engine.destroy(sandbox);
   return 0;
 }

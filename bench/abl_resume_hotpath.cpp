@@ -9,6 +9,11 @@
 //   branchless — branchless/SIMD credit walk + single-lock merge only
 //   epoch      — epoch-deferred reclamation only
 //   all        — everything on (the shipped default)
+//   churn      — everything on, with 𝒫²𝒮ℳ instead of the walk, and a
+//                third sandbox on the same queue that resumes and
+//                re-pauses between probe cycles: every measured resume
+//                finds its index stale and repairs it from the queue
+//                journal before splicing
 //
 // Workload: two 32-vCPU uLL sandboxes pinned to ONE reserved queue with
 // interleaved credits, so every measured resume merges 32 vCPUs into a
@@ -18,9 +23,11 @@
 //   * p99(all) must undercut p99(scalar) by >= 20% — downgraded to a
 //     reported-but-non-fatal check with --advisory-perf-gate (shared CI
 //     runners; see the hotpath-smoke job)
-//   * the steady-state "all" resume must be allocation-free (this binary
-//     carries the counting allocator; a canary verifies it is live) —
-//     deterministic, always hard
+//   * the steady-state "all" and "churn" resumes must be allocation-free
+//     (this binary carries the counting allocator; a canary verifies it
+//     is live) — deterministic, always hard
+//   * no measured resume of any arm may degrade to the fallback walk
+//     (exit code 2) — deterministic, always hard
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -40,6 +47,10 @@ namespace {
 using namespace horse;
 
 constexpr std::uint32_t kVcpus = 32;
+// The churn sandbox's resume plus re-pause journals 2 × kChurnVcpus
+// mutations: inside the 64-entry journal, so the probe's repair never
+// declines.
+constexpr std::uint32_t kChurnVcpus = 8;
 constexpr int kWarmupReps = 64;
 // Latency samples are means over batches of consecutive resumes: a single
 // resume runs in the hundreds of ns, where a raw p99 measures the host's
@@ -52,14 +63,16 @@ struct Arm {
   bool cycle_timing;
   bool branchless_walk;
   bool epoch_reclaim;
+  bool churn;
 };
 
 const std::vector<Arm> kArms = {
-    {"scalar", false, false, false},
-    {"cycles", true, false, false},
-    {"branchless", false, true, false},
-    {"epoch", false, false, true},
-    {"all", true, true, true},
+    {"scalar", false, false, false, false},
+    {"cycles", true, false, false, false},
+    {"branchless", false, true, false, false},
+    {"epoch", false, false, true, false},
+    {"all", true, true, true, false},
+    {"churn", true, true, true, true},
 };
 
 struct ArmResult {
@@ -82,8 +95,11 @@ ArmResult run_arm(const Arm& arm, int reps, bool strict_alloc) {
   // it is also the kHorse degradation rung every resume must survive.
   // The 𝒫²𝒮ℳ splice is already O(runs) pointer writes (~0.8 µs at this
   // size, E4/fig3 track it); ablating the walk arms there measures noise.
-  core::HorseResumeEngine engine(topology, vmm::VmmProfile::firecracker(),
-                                 config, core::HorseFeatures::coalescing_only());
+  // The churn arm times the 𝒫²𝒮ℳ path: journal repair plus splice.
+  core::HorseResumeEngine engine(
+      topology, vmm::VmmProfile::firecracker(), config,
+      arm.churn ? core::HorseFeatures::all()
+                : core::HorseFeatures::coalescing_only());
 
   vmm::SandboxConfig sandbox_config;
   sandbox_config.num_vcpus = kVcpus;
@@ -104,6 +120,16 @@ ArmResult run_arm(const Arm& arm, int reps, bool strict_alloc) {
   for (std::uint32_t i = 0; i < kVcpus; ++i) {
     probe.vcpu(i).credit = 2'000 * static_cast<sched::Credit>(i) + 1'000;
   }
+  sandbox_config.num_vcpus = kChurnVcpus;
+  sandbox_config.name = "churn";
+  vmm::Sandbox churn(9'003, sandbox_config);
+  if (arm.churn) {
+    (void)engine.start(churn);
+    for (std::uint32_t i = 0; i < kChurnVcpus; ++i) {
+      churn.vcpu(i).credit = 8'000 * static_cast<sched::Credit>(i) + 500;
+    }
+    (void)engine.pause(churn);
+  }
   (void)engine.pause(resident);
   (void)engine.pause(probe);
   // The resident stays runnable on the reserved queue from here on.
@@ -121,6 +147,12 @@ ArmResult run_arm(const Arm& arm, int reps, bool strict_alloc) {
       warmup_fallbacks = engine.degradation_stats().fallback_merges;
     }
     (void)engine.pause(probe);
+    if (arm.churn) {
+      // Untimed: the churn splices in and parks again, staling the probe's
+      // freshly built index by 2 × kChurnVcpus journal entries.
+      (void)engine.resume(churn);
+      (void)engine.pause(churn);
+    }
     vmm::ResumeBreakdown bd;
     const std::uint64_t allocs_before = util::thread_alloc_count();
     const util::Status status = engine.resume(probe, &bd);
@@ -154,7 +186,16 @@ ArmResult run_arm(const Arm& arm, int reps, bool strict_alloc) {
                  "comparable\n";
     std::exit(2);
   }
+  if (arm.churn &&
+      deg.inline_repairs < static_cast<std::uint64_t>(reps - kWarmupReps)) {
+    std::cerr << arm.name << ": only " << deg.inline_repairs
+              << " inline repair(s); the churn did not stale the probe\n";
+    std::exit(2);
+  }
   result.cycles = engine.cycle_stats();
+  if (arm.churn) {
+    (void)engine.destroy(churn);
+  }
   (void)engine.destroy(probe);
   (void)engine.destroy(resident);
   return result;
@@ -195,9 +236,13 @@ int main(int argc, char** argv) {
 
   std::vector<ArmResult> results;
   for (const Arm& arm : kArms) {
-    results.push_back(
-        run_arm(arm, reps, /*strict_alloc=*/std::strcmp(arm.name, "all") == 0));
+    results.push_back(run_arm(arm, reps, /*strict_alloc=*/arm.cycle_timing &&
+                                             arm.branchless_walk &&
+                                             arm.epoch_reclaim));
   }
+  const ArmResult& scalar = results[0];
+  const ArmResult& all = results[4];
+  const ArmResult& churn = results[5];
 
   metrics::TextTable table(
       "E22: resume hot-path ablation (ns over 16-resume batch means, " +
@@ -219,7 +264,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // Per-stage cycle budget from the all-on arm (tentpole item 1).
-  const core::ResumeCycleStats& cs = results.back().cycles;
+  const core::ResumeCycleStats& cs = all.cycles;
   if (cs.resumes > 0) {
     const auto per_stage = [&](std::uint64_t cycles) {
       return metrics::format_nanos(static_cast<double>(
@@ -244,8 +289,6 @@ int main(int argc, char** argv) {
   }
 
   // --- gates ---------------------------------------------------------------
-  const ArmResult& scalar = results.front();
-  const ArmResult& all = results.back();
   const double scalar_p99 = static_cast<double>(scalar.latency.p99());
   const double all_p99 = static_cast<double>(all.latency.p99());
   const double reduction = 1.0 - all_p99 / scalar_p99;
@@ -253,8 +296,11 @@ int main(int argc, char** argv) {
             << " all=" << metrics::format_nanos(all_p99)
             << " reduction=" << metrics::format_percent(reduction, 1)
             << " (gate: >= 20%)\n";
-  std::cout << "strict-alloc: " << all.alloc_checked << " resumes checked, "
-            << all.alloc_violations << " violation(s)\n";
+  for (const ArmResult* r : {&all, &churn}) {
+    std::cout << "strict-alloc: " << r->name << " arm, " << r->alloc_checked
+              << " resumes checked, " << r->alloc_violations
+              << " violation(s)\n";
+  }
 
   bool failed = false;
   if (reduction < 0.20) {
@@ -265,9 +311,12 @@ int main(int argc, char** argv) {
       failed = true;
     }
   }
-  if (all.alloc_checked == 0 || all.alloc_violations != 0) {
-    std::cerr << "GATE FAILED: allocations on the timed resume path\n";
-    failed = true;
+  for (const ArmResult* r : {&all, &churn}) {
+    if (r->alloc_checked == 0 || r->alloc_violations != 0) {
+      std::cerr << "GATE FAILED: allocations on the timed resume path ("
+                << r->name << " arm)\n";
+      failed = true;
+    }
   }
   return failed ? 1 : 0;
 }

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                   {"stale_index_fallbacks", deg.stale_index_fallbacks},
                   {"poisoned_index_fallbacks", deg.poisoned_index_fallbacks},
                   {"merge_error_fallbacks", deg.merge_error_fallbacks},
-                  {"deferred_refreshes", deg.deferred_refreshes}})
+                  {"inline_repairs", deg.inline_repairs}})
       .print(std::cout);
 
   // Machine-readable copy for plotting / diffing against the paper.

@@ -57,7 +57,7 @@ ResumeDegradationStats HorseResumeEngine::degradation_stats() const noexcept {
       poisoned_index_fallbacks_.load(std::memory_order_acquire);
   out.merge_error_fallbacks =
       merge_error_fallbacks_.load(std::memory_order_acquire);
-  out.deferred_refreshes = deferred_refreshes_.load(std::memory_order_acquire);
+  out.inline_repairs = inline_repairs_.load(std::memory_order_acquire);
   return out;
 }
 
@@ -183,21 +183,6 @@ util::Status HorseResumeEngine::resume_fallback_merge(
   return util::Status::ok();
 }
 
-void HorseResumeEngine::run_deferred_refresh() {
-  if (!needs_refresh_.exchange(false, std::memory_order_acq_rel)) {
-    return;
-  }
-  // Outside the timed path, after the epilogue released resume_lock_.
-  // Whatever made this resume's index untrustworthy (a foreign queue
-  // mutation, injected corruption) likely staled every other index
-  // targeting the same queue; rebuild them now so the NEXT resumes take
-  // the fast path again. The manager locks itself (and each target queue)
-  // since the sharding refactor, so no resume_lock_ re-acquire: the sweep
-  // runs concurrently with other engines' resumes.
-  ull_->refresh();
-  deferred_refreshes_.fetch_add(1, std::memory_order_relaxed);
-}
-
 util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
                                        vmm::ResumeBreakdown* breakdown) {
   if (!sandbox.config().ull) {
@@ -257,17 +242,27 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
         // touched the ull_runqueue after pause.
         index->invalidate();
       }
+      // A stale index (another sandbox's resume or pause mutated the
+      // queue) is repaired here, O(runs + delta) and for this index only:
+      // untrack() retires it a few lines below, so a rebuild would be
+      // wasted work. A gap past the journal, an invalidated build or a
+      // declined replay degrades to the walk instead.
       const bool poisoned = index->poisoned();
       const bool stale = !poisoned && !index->fresh(queue);
+      const bool repaired =
+          stale && index->try_repair(sandbox.merge_vcpus(), queue);
       if (poisoned) {
         poisoned_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      } else if (stale) {
+      } else if (stale && !repaired) {
         stale_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       } else {
         util::Status status = index->merge(sandbox.merge_vcpus(), queue);
         if (status.is_ok()) {
           fast_path_done = true;
           inline_splices_.fetch_add(1, std::memory_order_relaxed);
+          if (repaired) {
+            inline_repairs_.fetch_add(1, std::memory_order_relaxed);
+          }
         } else {
           // merge() refuses without mutating A or B, so the degraded walk
           // below still sees the full merge_vcpus list.
@@ -288,12 +283,10 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
     } else {
       // Degradation rung: the precomputed index cannot be trusted, but
       // the resume must still succeed — fall back to the vanilla sorted
-      // walk (correct at any index state) and schedule the index repair
-      // off the hot path. The rebuild is NOT charged to this resume; the
-      // old inline-rebuild behaviour hid an O(|A|+|B|) cost in the 150 ns
-      // path.
+      // walk, which is correct at any index state. No index is rebuilt:
+      // this one is retired below, and every other paused sandbox repairs
+      // its own index when it resumes.
       fallback_merges_.fetch_add(1, std::memory_order_relaxed);
-      needs_refresh_.store(true, std::memory_order_release);
       if (util::Status status = resume_fallback_merge(sandbox, cpu, bd);
           !status.is_ok()) {
         resume_lock_.unlock();
@@ -355,11 +348,6 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
     cycle_stats_.publish_cycles += c4 - c3;
     cycle_stats_.total_cycles.record(static_cast<util::Nanos>(c4 - c0));
   }
-
-  // Off-hot-path repair for whatever degraded this resume (no-op when the
-  // fast path ran). After the epilogue: the caller's measured latency
-  // never includes the rebuild sweep.
-  run_deferred_refresh();
   return util::Status::ok();
 }
 

@@ -11,9 +11,12 @@
 //
 // The pause path does the extra work that buys this: assign a reserved
 // queue (load-balanced by paused-sandbox count), precompute the coalescing
-// factors, and build the 𝒫²𝒮ℳ index. Individual feature toggles exist so
-// the Figure-3 ablation (vanil / ppsm / coal / horse) runs through one
-// engine.
+// factors, and build the 𝒫²𝒮ℳ index. Other resumes and pauses on the same
+// queue stale that index in the meantime; step ④ repairs only the resuming
+// sandbox's own index from the queue journal, under the queue lock it
+// already holds, and splices. Only an index the journal cannot cover takes
+// the vanilla walk. Individual feature toggles exist so the Figure-3
+// ablation (vanil / ppsm / coal / horse) runs through one engine.
 #pragma once
 
 #include <atomic>
@@ -64,14 +67,15 @@ struct ResumeCycleStats {
 struct ResumeDegradationStats {
   /// Resumes that fell back to the vanilla sorted-merge walk (any cause).
   std::uint64_t fallback_merges = 0;
-  /// ... because the index no longer matched the queue's version.
+  /// ... because the index was stale and the journal could not repair it.
   std::uint64_t stale_index_fallbacks = 0;
   /// ... because the index was poisoned (corrupt anchor table).
   std::uint64_t poisoned_index_fallbacks = 0;
   /// ... because merge() itself reported an error.
   std::uint64_t merge_error_fallbacks = 0;
-  /// Off-hot-path refresh() sweeps triggered by a degraded resume.
-  std::uint64_t deferred_refreshes = 0;
+  /// Fast-path resumes whose stale index was first brought fresh by
+  /// replaying the queue journal (not degraded; a subset of the splices).
+  std::uint64_t inline_repairs = 0;
 };
 
 class HorseResumeEngine final : public vmm::ResumeEngine {
@@ -133,14 +137,6 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
                                      sched::CpuId cpu,
                                      vmm::ResumeBreakdown& breakdown);
 
-  /// Off-hot-path repair: when a degraded resume observed stale indexes,
-  /// refresh every stale index via the manager AFTER the epilogue (outside
-  /// the timed path) — journal repair first, rebuild as the fallback. The
-  /// manager is internally locked since the sharding refactor, so no
-  /// resume_lock_ re-acquire is needed — the sweep runs concurrently with
-  /// other engines' resumes.
-  void run_deferred_refresh();
-
   HorseConfig config_;
   HorseFeatures features_;
   /// Owned in the standalone shape, null in the sharded shape; ull_ is the
@@ -157,14 +153,12 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   mutable util::Spinlock cycle_stats_lock_;
   ResumeCycleStats cycle_stats_;
 
-  // Degradation bookkeeping. needs_refresh_ is set inside the timed path
-  // (one relaxed store) and consumed after the epilogue.
-  std::atomic<bool> needs_refresh_{false};
+  // Degradation bookkeeping (relaxed increments inside the timed path).
   std::atomic<std::uint64_t> fallback_merges_{0};
   std::atomic<std::uint64_t> stale_index_fallbacks_{0};
   std::atomic<std::uint64_t> poisoned_index_fallbacks_{0};
   std::atomic<std::uint64_t> merge_error_fallbacks_{0};
-  std::atomic<std::uint64_t> deferred_refreshes_{0};
+  std::atomic<std::uint64_t> inline_repairs_{0};
 };
 
 }  // namespace horse::core

@@ -241,22 +241,32 @@ util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
     return {util::StatusCode::kFailedPrecondition,
             "p2sm repair: index not built; rebuild instead"};
   }
+  const std::uint64_t from = built_version_;
+  if (try_repair(a, b)) {
+    return util::Status::ok();
+  }
   if (poisoned_) {
-    ++stats_.repair_fallbacks;
-    return {util::StatusCode::kFailedPrecondition,
-            "p2sm repair: index poisoned; rebuild instead"};
+    return {util::StatusCode::kInternal,
+            "p2sm repair: index poisoned (corrupt delta or failed audit); "
+            "rebuild instead"};
+  }
+  return {util::StatusCode::kFailedPrecondition,
+          "p2sm repair: journal cannot cover versions " + std::to_string(from) +
+              ".." + std::to_string(b.version())};
+}
+
+bool P2smIndex::try_repair(sched::VcpuList& a, sched::RunQueue& b) {
+  if (!built_) {
+    return false;
   }
   const std::uint64_t current = b.version();
-  if (current == built_version_) {
-    return util::Status::ok();  // already fresh, nothing to replay
+  if (!poisoned_ && current == built_version_) {
+    return true;  // already fresh, nothing to replay
   }
-  if (current < built_version_ ||
+  if (poisoned_ || current < built_version_ ||
       current - built_version_ > sched::RunQueue::kJournalCapacity) {
     ++stats_.repair_fallbacks;
-    return {util::StatusCode::kFailedPrecondition,
-            "p2sm repair: journal cannot cover versions " +
-                std::to_string(built_version_) + ".." +
-                std::to_string(current)};
+    return false;
   }
   if (HORSE_FAULT_POINT("p2sm.repair.corrupt_delta")) {
     // A corrupt journal entry was "applied": the snapshot can no longer be
@@ -264,8 +274,7 @@ util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
     // full rebuild (which cures the poisoning).
     poison();
     ++stats_.repair_fallbacks;
-    return {util::StatusCode::kInternal,
-            "p2sm repair: injected corrupt journal delta (index poisoned)"};
+    return false;
   }
 
   std::uint64_t applied = 0;
@@ -282,9 +291,7 @@ util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
       // trustworthy, so it un-builds itself; rebuild() restores it.
       built_ = false;
       ++stats_.repair_fallbacks;
-      return {util::StatusCode::kFailedPrecondition,
-              "p2sm repair: journal gap or contradictory entry at version " +
-                  std::to_string(v)};
+      return false;
     }
     ++applied;
   }
@@ -294,10 +301,10 @@ util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
   // Instrumented builds audit every repair; a failure here means the
   // replay logic disagrees with the live structures, which must degrade to
   // rebuild (the ladder contract), not abort.
-  if (util::Status audit_status = audit(a, b); !audit_status.is_ok()) {
+  if (!audit(a, b).is_ok()) {
     poison();
     ++stats_.repair_fallbacks;
-    return audit_status;
+    return false;
   }
 #else
   (void)a;
@@ -305,7 +312,7 @@ util::Status P2smIndex::repair(sched::VcpuList& a, sched::RunQueue& b) {
 
   ++stats_.repairs;
   stats_.repaired_deltas += applied;
-  return util::Status::ok();
+  return true;
 }
 
 util::Status P2smIndex::audit(sched::VcpuList& a,

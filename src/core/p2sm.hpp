@@ -189,6 +189,11 @@ class P2smIndex {
   /// hold B's lock.
   util::Status repair(sched::VcpuList& a, sched::RunQueue& b);
 
+  /// repair() without the diagnostic: true when the index is fresh on
+  /// return. A decline builds no message, so it never touches the heap —
+  /// the resume path repairs through this under the queue lock it holds.
+  [[nodiscard]] bool try_repair(sched::VcpuList& a, sched::RunQueue& b);
+
   /// True when the index still matches B's current structure.
   [[nodiscard]] bool fresh(const sched::RunQueue& b) const noexcept {
     return built_ && built_version_ == b.version();

@@ -174,8 +174,8 @@ std::size_t UllRunQueueManager::refresh() {
       // Incremental first: replay the queue's mutation journal in
       // O(runs + delta). This is what kills the rebuild storm — N
       // co-resident indexes used to pay O(N·(|A|+|B|)) per queue mutation.
-      if (index.built() && !index.poisoned() &&
-          index.repair(node->sandbox->merge_vcpus(), queue).is_ok()) {
+      if (!index.poisoned() &&
+          index.try_repair(node->sandbox->merge_vcpus(), queue)) {
         ++refreshed;
         continue;
       }
@@ -186,8 +186,7 @@ std::size_t UllRunQueueManager::refresh() {
     }
   }
   // The refresh sweep doubles as the reclaim pump for every reserved
-  // queue (refresh runs from ticks/deferred-refresh, never from the
-  // timed resume window).
+  // queue (refresh runs from maintenance ticks, never from a resume).
   for (const sched::CpuId cpu : cpus) {
     pump_reclaim(cpu);
   }

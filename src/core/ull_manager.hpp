@@ -9,9 +9,10 @@
 //     paused sandboxes already associated with each ull_runqueue to
 //     perform load balancing"), tracked with per-queue occupancy counters
 //     maintained on assign/untrack — no per-call scan of the tracked set,
-//   * own one P2smIndex per paused sandbox and keep it fresh whenever its
-//     target queue changes structurally ("the updates are performed each
-//     time ull_runqueue is updated"),
+//   * own one P2smIndex per paused sandbox. An index goes stale whenever
+//     its target queue changes structurally; the owning resume replays the
+//     queue journal into that one index before splicing, so the invoke
+//     path never sweeps the others (refresh() is the explicit sweep),
 //   * map each reserved queue to the HorseResumeEngine bound to it, so
 //     the sharded control plane can route a resume to the engine whose
 //     step-② lock serialises exactly that queue and nothing else.
@@ -116,9 +117,9 @@ class UllRunQueueManager {
   /// around the work. Tries the O(runs + delta) journal repair() first and
   /// falls back to the O(|A|+|B|) rebuild() only on journal overflow,
   /// poisoning, or a failed audit — per-index outcomes land in P2smStats
-  /// (repairs / rebuilds / repair_fallbacks). In a hypervisor this runs
-  /// from the queue-mutation path; callers here invoke it from scheduler
-  /// ticks / deferred-refresh sweeps after a degraded resume.
+  /// (repairs / rebuilds / repair_fallbacks). An explicit maintenance
+  /// entry point for benches, tests and scheduler ticks: the resume path
+  /// never calls it, it repairs the resuming index alone.
   /// Returns the number of indexes made fresh (repaired + rebuilt).
   std::size_t refresh();
 

@@ -955,7 +955,7 @@ core::ResumeDegradationStats Platform::resume_degradation_stats() const {
     total.stale_index_fallbacks += stats.stale_index_fallbacks;
     total.poisoned_index_fallbacks += stats.poisoned_index_fallbacks;
     total.merge_error_fallbacks += stats.merge_error_fallbacks;
-    total.deferred_refreshes += stats.deferred_refreshes;
+    total.inline_repairs += stats.inline_repairs;
   }
   return total;
 }

@@ -85,10 +85,14 @@ util::Status ResumeEngine::pause_locked(Sandbox& sandbox) {
             "pause: sandbox not running"};
   }
   for (const auto& vcpu : sandbox.vcpus()) {
-    if (vcpu->hook.is_linked()) {
+    {
+      // is_linked() reads the hook's links, which a neighbour's insert,
+      // removal or splice rewrites under the queue lock: test under it too.
       sched::RunQueue& queue = topology_.queue(vcpu->last_cpu);
       util::LockGuard guard(queue.lock());
-      queue.remove(*vcpu);
+      if (vcpu->hook.is_linked()) {
+        queue.remove(*vcpu);
+      }
     }
     vcpu->state = sched::VcpuState::kPaused;
     insert_sorted_into(sandbox.merge_vcpus(), *vcpu);

@@ -130,7 +130,9 @@ util::Expected<RestoreResult> SnapshotManager::restore(
   // Integrity gate: refuse an image whose checksum drifted from the one
   // recorded at take() time. The fault site flips the computed value —
   // equivalent to a single corrupted byte without damaging the caller's
-  // snapshot object.
+  // snapshot object. The check reads the whole image, so it is timed as
+  // part of the restore.
+  util::Stopwatch watch;
   std::uint64_t computed = compute_checksum(snapshot.memory_image);
   if (HORSE_FAULT_POINT("snapshot.restore.corrupt")) {
     computed = ~computed;
@@ -142,8 +144,6 @@ util::Expected<RestoreResult> SnapshotManager::restore(
   }
 
   RestoreResult result;
-
-  util::Stopwatch watch;
   result.sandbox = std::make_unique<Sandbox>(next_id, snapshot.config);
   auto& memory = result.sandbox->guest_memory();
   memory.resize(snapshot.memory_image.size());

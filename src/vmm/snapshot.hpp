@@ -72,7 +72,10 @@ struct DeltaSnapshot {
 
 struct RestoreResult {
   std::unique_ptr<Sandbox> sandbox;
-  util::Nanos copy_time = 0;     // measured: memory-image copy
+  // Measured: restore() counts the integrity checksum plus the image
+  // copy; restore_incremental() counts the base copy plus the page patch
+  // (it compares stored checksums only, so it has no image scan).
+  util::Nanos copy_time = 0;
   util::Nanos modelled_time = 0; // modelled: device/VMM reinit latency
   [[nodiscard]] util::Nanos total_time() const noexcept {
     return copy_time + modelled_time;

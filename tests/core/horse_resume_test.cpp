@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+
+#if defined(HORSE_FAULT_INJECTION)
+#include "util/fault_injection.hpp"
+#endif
 
 namespace horse::core {
 namespace {
@@ -167,8 +172,122 @@ TEST_F(HorseResumeTest, StaleIndexFallbackRebuildsInline) {
   ASSERT_TRUE(engine_.resume(*s1).is_ok());
   // No refresh() call: s2's index is stale, resume must still succeed.
   ASSERT_TRUE(engine_.resume(*s2).is_ok());
+  EXPECT_EQ(engine_.degradation_stats().fallback_merges, 0u);
   EXPECT_EQ(queued_on(7), 4u);
   EXPECT_TRUE(topology_.queue(7).is_sorted());
+  ASSERT_TRUE(engine_.destroy(*s1).is_ok());
+  ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+}
+
+TEST_F(HorseResumeTest, CoResidentStaleIndexRepairsInlineAndSplices) {
+  auto s1 = make_sandbox(3, true);
+  auto s2 = make_sandbox(4, true);
+  ASSERT_TRUE(engine_.start(*s1).is_ok());
+  ASSERT_TRUE(engine_.start(*s2).is_ok());
+  ASSERT_TRUE(engine_.pause(*s1).is_ok());
+  ASSERT_TRUE(engine_.pause(*s2).is_ok());
+  ASSERT_TRUE(engine_.resume(*s1).is_ok());
+  const ResumeDegradationStats before = engine_.degradation_stats();
+  const std::uint64_t splices_before = engine_.inline_splice_count();
+
+  // s1's splices staled s2's index; s2's own resume replays them.
+  ASSERT_TRUE(engine_.resume(*s2).is_ok());
+  const ResumeDegradationStats after = engine_.degradation_stats();
+  EXPECT_EQ(after.fallback_merges, before.fallback_merges);
+  EXPECT_EQ(after.stale_index_fallbacks, before.stale_index_fallbacks);
+  EXPECT_EQ(after.inline_repairs, before.inline_repairs + 1);
+  EXPECT_EQ(engine_.inline_splice_count(), splices_before + 1);
+  EXPECT_EQ(queued_on(7), 7u);
+  EXPECT_TRUE(topology_.queue(7).is_sorted());
+  ASSERT_TRUE(engine_.destroy(*s1).is_ok());
+  ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+}
+
+TEST_F(HorseResumeTest, JournalGapPastCapacityWalksAndStaysSorted) {
+  auto churn = make_sandbox(8, true);
+  auto s2 = make_sandbox(3, true);
+  ASSERT_TRUE(engine_.start(*churn).is_ok());
+  ASSERT_TRUE(engine_.start(*s2).is_ok());
+  ASSERT_TRUE(engine_.pause(*churn).is_ok());
+  ASSERT_TRUE(engine_.pause(*s2).is_ok());
+  const std::uint64_t built_at = topology_.queue(7).version();
+  // Each churn cycle journals 8 inserts and 8 removes on the shared queue,
+  // so five cycles leave s2 a gap the 64-entry journal cannot cover.
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    ASSERT_TRUE(engine_.resume(*churn).is_ok());
+    ASSERT_TRUE(engine_.pause(*churn).is_ok());
+  }
+  ASSERT_GT(topology_.queue(7).version() - built_at,
+            sched::RunQueue::kJournalCapacity);
+  const ResumeDegradationStats before = engine_.degradation_stats();
+
+  ASSERT_TRUE(engine_.resume(*s2).is_ok());
+  const ResumeDegradationStats after = engine_.degradation_stats();
+  EXPECT_EQ(after.fallback_merges, before.fallback_merges + 1);
+  EXPECT_EQ(after.stale_index_fallbacks, before.stale_index_fallbacks + 1);
+  EXPECT_EQ(after.inline_repairs, before.inline_repairs);
+  EXPECT_EQ(s2->state(), vmm::SandboxState::kRunning);
+  EXPECT_EQ(queued_on(7), 3u);
+  EXPECT_TRUE(topology_.queue(7).is_sorted());
+  ASSERT_TRUE(engine_.destroy(*churn).is_ok());
+  ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+}
+
+TEST_F(HorseResumeTest, CorruptDeltaDuringInlineRepairWalks) {
+#if defined(HORSE_FAULT_INJECTION)
+  util::FaultInjector::global().reset();
+  auto s1 = make_sandbox(2, true);
+  auto s2 = make_sandbox(3, true);
+  ASSERT_TRUE(engine_.start(*s1).is_ok());
+  ASSERT_TRUE(engine_.start(*s2).is_ok());
+  ASSERT_TRUE(engine_.pause(*s1).is_ok());
+  ASSERT_TRUE(engine_.pause(*s2).is_ok());
+  ASSERT_TRUE(engine_.resume(*s1).is_ok());
+  const ResumeDegradationStats before = engine_.degradation_stats();
+  {
+    auto fault = util::ScopedFault::nth("p2sm.repair.corrupt_delta", 1);
+    ASSERT_TRUE(engine_.resume(*s2).is_ok());
+  }
+  const ResumeDegradationStats after = engine_.degradation_stats();
+  EXPECT_EQ(after.fallback_merges, before.fallback_merges + 1);
+  EXPECT_EQ(after.stale_index_fallbacks, before.stale_index_fallbacks + 1);
+  EXPECT_EQ(after.inline_repairs, before.inline_repairs);
+  EXPECT_EQ(s2->state(), vmm::SandboxState::kRunning);
+  EXPECT_EQ(queued_on(7), 5u);
+  EXPECT_TRUE(topology_.queue(7).is_sorted());
+  ASSERT_TRUE(engine_.destroy(*s1).is_ok());
+  ASSERT_TRUE(engine_.destroy(*s2).is_ok());
+  util::FaultInjector::global().reset();
+#else
+  GTEST_SKIP() << "fault injection compiled out";
+#endif
+}
+
+TEST_F(HorseResumeTest, RetiredIndexesStayBoundedWithoutRefresh) {
+  // Two co-resident sandboxes cycling on one queue: every resume retires
+  // an index to the queue's epoch reclaimer and nothing calls refresh(),
+  // so the pause-time pump in track() alone must keep the garbage bounded.
+  auto s1 = make_sandbox(2, true);
+  auto s2 = make_sandbox(3, true);
+  ASSERT_TRUE(engine_.start(*s1).is_ok());
+  ASSERT_TRUE(engine_.start(*s2).is_ok());
+  ASSERT_TRUE(engine_.pause(*s1).is_ok());
+  ASSERT_TRUE(engine_.pause(*s2).is_ok());
+  std::uint64_t peak_pending = 0;
+  constexpr int kCycles = 10'000;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    ASSERT_TRUE(engine_.resume(*s1).is_ok()) << "cycle " << cycle;
+    ASSERT_TRUE(engine_.resume(*s2).is_ok()) << "cycle " << cycle;
+    ASSERT_TRUE(engine_.pause(*s1).is_ok()) << "cycle " << cycle;
+    ASSERT_TRUE(engine_.pause(*s2).is_ok()) << "cycle " << cycle;
+    peak_pending = std::max(peak_pending, topology_.queue(7).epoch().pending());
+  }
+  EXPECT_LE(peak_pending, 4u);
+  EXPECT_GT(topology_.queue(7).epoch().retired(), 2u * kCycles - 1);
+  // Every resume after the first found its index staled by the other
+  // sandbox, repaired it and spliced.
+  EXPECT_EQ(engine_.degradation_stats().fallback_merges, 0u);
+  EXPECT_GE(engine_.degradation_stats().inline_repairs, 2u * kCycles - 1);
   ASSERT_TRUE(engine_.destroy(*s1).is_ok());
   ASSERT_TRUE(engine_.destroy(*s2).is_ok());
 }

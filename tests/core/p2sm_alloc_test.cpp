@@ -4,7 +4,7 @@
 // snapshot lives in one reused SoA block with kJournalCapacity slack, so
 // once an index has been through a warm-up rebuild at a given queue size,
 // every further rebuild(), repair(), and merge() at stable sizes must
-// touch the heap exactly zero times.
+// touch the heap exactly zero times, and so must a declined try_repair().
 //
 // This binary (and only this binary, plus the maintenance bench) compiles
 // src/util/alloc_hook.cpp into its own sources, replacing the global
@@ -142,6 +142,31 @@ TEST_F(P2smAllocTest, SteadyStateRepairDoesNotAllocate) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(index_.stats().repairs, 202u);
   EXPECT_EQ(index_.stats().repair_fallbacks, 0u);
+}
+
+TEST_F(P2smAllocTest, DeclinedTryRepairDoesNotAllocate) {
+  // The resume path repairs through try_repair(); its refusals (journal
+  // overflow, an unjournalled gap, a poisoned index) build no message.
+  index_.rebuild(a_, b_);
+  sched::Vcpu& churn = make_vcpu(15);
+  probe_.start();
+  for (std::size_t i = 0; i <= sched::RunQueue::kJournalCapacity / 2; ++i) {
+    b_.insert_sorted(churn);
+    b_.remove(churn);
+  }
+  const bool overflow = index_.try_repair(a_, b_);
+  index_.rebuild(a_, b_);
+  b_.bump_version();
+  const bool gap = index_.try_repair(a_, b_);
+  index_.rebuild(a_, b_);
+  index_.poison();
+  const bool poisoned = index_.try_repair(a_, b_);
+  const std::uint64_t allocs = probe_.alloc_delta();
+  EXPECT_FALSE(overflow);
+  EXPECT_FALSE(gap);
+  EXPECT_FALSE(poisoned);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(index_.stats().repair_fallbacks, 3u);
 }
 
 TEST_F(P2smAllocTest, SteadyStateMergeCycleDoesNotAllocate) {

@@ -1,9 +1,9 @@
 // The graceful-degradation ladder, rung by rung, driven by injected
 // faults:
 //
-//   engine rung    — a stale or poisoned 𝒫²𝒮ℳ index demotes one resume to
-//                    the vanilla sorted-merge walk and schedules the index
-//                    rebuild off the hot path. The resume succeeds.
+//   engine rung    — an index the queue journal cannot repair (invalidated
+//                    or poisoned) demotes one resume to the vanilla
+//                    sorted-merge walk. The resume succeeds.
 //   platform rung  — a failed start attempt demotes the invocation one
 //                    rung colder (kHorse → kWarm → kRestore → kCold), and
 //                    a sandbox whose resume fails repeatedly is
@@ -46,8 +46,8 @@ class FaultLadderTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Engine rung: untrusted 𝒫²𝒮ℳ index → vanilla merge fallback + deferred
-// off-hot-path rebuild.
+// Engine rung: untrusted 𝒫²𝒮ℳ index → vanilla merge fallback; the next
+// pause builds a fresh index.
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
@@ -75,7 +75,8 @@ TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
   EXPECT_EQ(stats.fallback_merges, 1u);
   EXPECT_EQ(stats.stale_index_fallbacks, 1u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 0u);
-  EXPECT_EQ(stats.deferred_refreshes, 1u);
+  // An invalidated or poisoned index is never repaired: it takes the walk.
+  EXPECT_EQ(stats.inline_repairs, 0u);
 
   // The fault fired once; the next cycle takes the fast path again.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
@@ -104,7 +105,8 @@ TEST_F(FaultLadderTest, PoisonedIndexFallsBackToVanillaMerge) {
   EXPECT_EQ(stats.fallback_merges, 1u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 1u);
   EXPECT_EQ(stats.stale_index_fallbacks, 0u);
-  EXPECT_EQ(stats.deferred_refreshes, 1u);
+  // An invalidated or poisoned index is never repaired: it takes the walk.
+  EXPECT_EQ(stats.inline_repairs, 0u);
 
   // A clean pause rebuilds a healthy index: fast path restored.
   ASSERT_TRUE(engine.pause(*sandbox).is_ok());
