@@ -183,6 +183,8 @@ int main(int argc, char** argv) {
   metrics::counters_table("HORSE degraded-resume counters",
                  {{"fallback_merges", deg.fallback_merges},
                   {"stale_index_fallbacks", deg.stale_index_fallbacks},
+                  {"journal_overflow_fallbacks",
+                   deg.journal_overflow_fallbacks},
                   {"poisoned_index_fallbacks", deg.poisoned_index_fallbacks},
                   {"merge_error_fallbacks", deg.merge_error_fallbacks},
                   {"inline_repairs", deg.inline_repairs}})

@@ -17,10 +17,7 @@ namespace horse::cluster {
 
 /// The queueing-delay EWMA (α = 1/8) a host folds each task's pickup
 /// `sample` into.
-[[nodiscard]] constexpr util::Nanos ewma_step(util::Nanos ewma,
-                                              util::Nanos sample) noexcept {
-  return ewma + (sample - ewma) / 8;
-}
+using util::ewma_step;
 
 /// Admission's queue-delay estimate: the minimum EWMA over healthy hosts
 /// (0 when none is). Optimistic by design — the cluster sheds only when

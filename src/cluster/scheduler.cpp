@@ -51,6 +51,7 @@ ClusterScheduler::ClusterScheduler(ClusterConfig config)
                                             pull_queue_.get(), max_sojourn));
   }
   policy_decisions_.assign(hosts_.size(), 0);
+  healthy_scratch_.reserve(hosts_.size());
   leases_.resize(hosts_.size());
   if (config_.health.sweep_period > 0) {
     // Time-based health-sweep fallback: submission-driven sweeps only run
@@ -300,8 +301,10 @@ void ClusterScheduler::dispatch(faas::Submission task) {
 
 Host& ClusterScheduler::select_host_locked(faas::FunctionId function) {
   const bool want_warm = config_.policy == PolicyKind::kMostWarmSlots;
-  std::vector<HostSnapshot> healthy;
-  healthy.reserve(hosts_.size());
+  // Reused across submits (capacity stays at the host count), so push
+  // routing allocates nothing.
+  std::vector<HostSnapshot>& healthy = healthy_scratch_;
+  healthy.clear();
   for (auto& host : hosts_) {
     if (host->healthy()) {
       healthy.push_back(host->snapshot(function, want_warm));

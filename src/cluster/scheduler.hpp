@@ -381,6 +381,8 @@ class ClusterScheduler {
   mutable std::mutex health_mutex_;
   mutable std::mutex dispatch_mutex_;
   std::vector<std::uint64_t> policy_decisions_;  // per host, dispatch lock
+  // select_host_locked's healthy-host buffer, reused; dispatch lock.
+  std::vector<HostSnapshot> healthy_scratch_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> hosts_quarantined_{0};
   std::atomic<std::uint64_t> redispatched_{0};

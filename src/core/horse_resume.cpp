@@ -53,6 +53,8 @@ ResumeDegradationStats HorseResumeEngine::degradation_stats() const noexcept {
   out.fallback_merges = fallback_merges_.load(std::memory_order_acquire);
   out.stale_index_fallbacks =
       stale_index_fallbacks_.load(std::memory_order_acquire);
+  out.journal_overflow_fallbacks =
+      journal_overflow_fallbacks_.load(std::memory_order_acquire);
   out.poisoned_index_fallbacks =
       poisoned_index_fallbacks_.load(std::memory_order_acquire);
   out.merge_error_fallbacks =
@@ -255,6 +257,11 @@ util::Status HorseResumeEngine::resume(vmm::Sandbox& sandbox,
         poisoned_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       } else if (stale && !repaired) {
         stale_index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        // An overflow decline leaves the build untouched, so the gap can
+        // still be read off the index after the fact.
+        if (index->journal_overflowed(queue)) {
+          journal_overflow_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        }
       } else {
         util::Status status = index->merge(sandbox.merge_vcpus(), queue);
         if (status.is_ok()) {

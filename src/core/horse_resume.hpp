@@ -69,6 +69,10 @@ struct ResumeDegradationStats {
   std::uint64_t fallback_merges = 0;
   /// ... because the index was stale and the journal could not repair it.
   std::uint64_t stale_index_fallbacks = 0;
+  /// ... the subset of those whose journal gap exceeded
+  /// RunQueue::kJournalCapacity (the rest were invalidated builds or
+  /// declined replays).
+  std::uint64_t journal_overflow_fallbacks = 0;
   /// ... because the index was poisoned (corrupt anchor table).
   std::uint64_t poisoned_index_fallbacks = 0;
   /// ... because merge() itself reported an error.
@@ -156,6 +160,7 @@ class HorseResumeEngine final : public vmm::ResumeEngine {
   // Degradation bookkeeping (relaxed increments inside the timed path).
   std::atomic<std::uint64_t> fallback_merges_{0};
   std::atomic<std::uint64_t> stale_index_fallbacks_{0};
+  std::atomic<std::uint64_t> journal_overflow_fallbacks_{0};
   std::atomic<std::uint64_t> poisoned_index_fallbacks_{0};
   std::atomic<std::uint64_t> merge_error_fallbacks_{0};
   std::atomic<std::uint64_t> inline_repairs_{0};

@@ -263,8 +263,7 @@ bool P2smIndex::try_repair(sched::VcpuList& a, sched::RunQueue& b) {
   if (!poisoned_ && current == built_version_) {
     return true;  // already fresh, nothing to replay
   }
-  if (poisoned_ || current < built_version_ ||
-      current - built_version_ > sched::RunQueue::kJournalCapacity) {
+  if (poisoned_ || current < built_version_ || journal_overflowed(b)) {
     ++stats_.repair_fallbacks;
     return false;
   }

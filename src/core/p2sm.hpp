@@ -199,6 +199,14 @@ class P2smIndex {
     return built_ && built_version_ == b.version();
   }
   [[nodiscard]] bool built() const noexcept { return built_; }
+  /// True when B moved more than RunQueue::kJournalCapacity versions past
+  /// the build: the journal no longer covers the gap, so try_repair()
+  /// declines without replaying anything.
+  [[nodiscard]] bool journal_overflowed(
+      const sched::RunQueue& b) const noexcept {
+    return built_ && b.version() > built_version_ &&
+           b.version() - built_version_ > sched::RunQueue::kJournalCapacity;
+  }
   void invalidate() noexcept {
     built_ = false;
     pos_a_.clear();

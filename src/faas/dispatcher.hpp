@@ -18,6 +18,16 @@
 // executor call, outcome recording, completion hook), so single-host and
 // cluster invocations flow through one code path.
 //
+// Push-mode hand-off: a worker whose queue runs empty first spins for up
+// to 1 ms, polling an atomic count of its queued tasks, and only then
+// parks on its condvar. submit() notifies only a parked worker, so a
+// request that lands inside the spin reaches its worker without a kernel
+// call on either side. A worker spins only while its own traffic is dense
+// (its mean inter-arrival gap is at most the 1 ms cap) and while the
+// process's push workers, across every Dispatcher, number at most half
+// the CPUs it may run on; otherwise it parks at once. Pull mode keeps
+// blocking in the shared source (DESIGN.md §5.5).
+//
 // Cluster hooks: pause() parks workers after their current task (a
 // modelled host stall — pending work stays put), steal_pending() removes
 // queued-but-unstarted tasks so a quarantined host's backlog can be
@@ -112,6 +122,12 @@ class Dispatcher {
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return in_flight_.load(std::memory_order_acquire);
   }
+  /// Push-mode workers blocked on their condvar (not running, not
+  /// spinning); pull-mode workers block in the shared source and are not
+  /// counted.
+  [[nodiscard]] std::size_t parked_workers() const noexcept {
+    return parked_.load(std::memory_order_acquire);
+  }
   [[nodiscard]] std::uint64_t completed() const noexcept {
     return completed_.load(std::memory_order_acquire);
   }
@@ -131,13 +147,26 @@ class Dispatcher {
     std::condition_variable work_available;
     std::condition_variable idle;
     std::deque<Submission> tasks;
+    /// tasks.size(), readable without the mutex: what a spinning worker
+    /// polls. Written only under the mutex.
+    std::atomic<std::size_t> queued{0};
     std::vector<SubmissionOutcome> outcomes;
     bool busy = false;
     bool shutting_down = false;
+    /// Blocked on work_available: submit() must notify.
+    bool parked = false;
+    /// Inter-arrival gap EWMA (-1 until the second arrival) and the
+    /// latest arrival stamp it was measured from.
+    util::Nanos gap_ewma = -1;
+    util::Nanos last_arrival = 0;
     std::jthread thread;  // last: joins before the queue state dies
   };
 
   void push_worker_loop(Worker& worker);
+  /// Poll `worker.queued` for up to the spin cap (1 ms), leaving early
+  /// when work arrives or the dispatcher pauses or shuts down. Called
+  /// unlocked.
+  void spin_for_work(const Worker& worker) const noexcept;
   void pull_worker_loop(Worker& worker);
   /// Shared epilogue: measure queueing, execute, record, notify.
   void execute_and_record(Worker& worker, Submission task);
@@ -153,6 +182,7 @@ class Dispatcher {
   std::condition_variable pause_cv_;
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> in_flight_{0};
+  std::atomic<std::size_t> parked_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
 };

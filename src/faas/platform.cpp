@@ -953,6 +953,7 @@ core::ResumeDegradationStats Platform::resume_degradation_stats() const {
     const core::ResumeDegradationStats stats = engine->degradation_stats();
     total.fallback_merges += stats.fallback_merges;
     total.stale_index_fallbacks += stats.stale_index_fallbacks;
+    total.journal_overflow_fallbacks += stats.journal_overflow_fallbacks;
     total.poisoned_index_fallbacks += stats.poisoned_index_fallbacks;
     total.merge_error_fallbacks += stats.merge_error_fallbacks;
     total.inline_repairs += stats.inline_repairs;

@@ -18,6 +18,13 @@ inline constexpr Nanos kMicrosecond = 1'000;
 inline constexpr Nanos kMillisecond = 1'000'000;
 inline constexpr Nanos kSecond = 1'000'000'000;
 
+/// One step of the α = 1/8 EWMA the runtime smooths its delay and gap
+/// estimates with: the cluster's per-host queueing delay and each
+/// dispatcher worker's inter-arrival gap.
+[[nodiscard]] constexpr Nanos ewma_step(Nanos ewma, Nanos sample) noexcept {
+  return ewma + (sample - ewma) / 8;
+}
+
 /// Monotonic wall-clock now, for real measurements.
 inline Nanos monotonic_now() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

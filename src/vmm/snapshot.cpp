@@ -1,20 +1,87 @@
 #include "vmm/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/fault_injection.hpp"
 
 namespace horse::vmm {
 
+namespace {
+
+// xxHash64's primes: odd, so x -> x * P is a bijection on 64-bit words.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+
+std::uint64_t load_word(const std::byte* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+// One lane step (xxHash64's round). For a fixed lane state it is a
+// bijection of the word, and for a fixed word a bijection of the state.
+// The rotate carries top-bit differences back down before the multiply:
+// without it a flipped bit 63 survives every multiply unchanged, and two
+// such flips cancel.
+std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) noexcept {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+// Finaliser (MurmurHash3 fmix64), a bijection that spreads every bit of
+// the folded state over the result.
+std::uint64_t avalanche(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
 std::uint64_t SnapshotManager::compute_checksum(
     const std::vector<std::byte>& image) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::byte b : image) {
-    hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001b3ULL;
+  // Eight independent lanes over 64-bit words, so the multiplies pipeline
+  // instead of serialising one byte at a time. Every round is a bijection
+  // of its word for a fixed lane state and of the state for a fixed word,
+  // so changing any single byte changes its lane's final state, and each
+  // fold step below is a bijection of the lane it folds in.
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kStride = kLanes * sizeof(std::uint64_t);
+  std::uint64_t lane[kLanes] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                                0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL,
+                                0x452821e638d01377ULL, 0xbe5466cf34e90c6cULL,
+                                0xc0ac29b7c97c50ddULL, 0x3f84d5b5b5470917ULL};
+  const std::byte* p = image.data();
+  const std::size_t size = image.size();
+  std::size_t at = 0;
+  for (; at + kStride <= size; at += kStride) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lane[l] =
+          lane_round(lane[l], load_word(p + at + l * sizeof(std::uint64_t)));
+    }
   }
-  return hash;
+  // Tail: whole words into lane 0, then the last bytes zero-padded into
+  // one word. The length is folded in below, so padding is unambiguous.
+  for (; at + sizeof(std::uint64_t) <= size; at += sizeof(std::uint64_t)) {
+    lane[0] = lane_round(lane[0], load_word(p + at));
+  }
+  if (at < size) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + at, size - at);
+    lane[1] = lane_round(lane[1], word);
+  }
+  // Each lane goes through a round before it is xored in, so lane
+  // differences reach the low bits and cannot cancel bit for bit.
+  std::uint64_t hash = static_cast<std::uint64_t>(size);
+  for (std::uint64_t l : lane) {
+    hash = (hash ^ lane_round(0, l)) * kPrime1 + kPrime4;
+  }
+  return avalanche(hash);
 }
 
 util::Expected<Snapshot> SnapshotManager::take(const Sandbox& sandbox) {

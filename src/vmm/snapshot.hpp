@@ -92,14 +92,16 @@ class SnapshotManager {
   [[nodiscard]] util::Expected<Snapshot> take(const Sandbox& sandbox);
 
   /// Materialise a new sandbox from a snapshot. `next_id` is assigned to
-  /// the restored sandbox. Fails with kInternal when the image's FNV-1a
+  /// the restored sandbox. Fails with kInternal when the image's
   /// checksum does not match the one recorded at take() time (on-disk
   /// corruption in a real deployment; the snapshot.restore.corrupt fault
   /// site injects it here).
   [[nodiscard]] util::Expected<RestoreResult> restore(const Snapshot& snapshot,
                                                       sched::SandboxId next_id);
 
-  /// FNV-1a over the memory image; restore verifies integrity with it.
+  /// Word-at-a-time hash over the whole memory image (eight lanes of
+  /// xxHash64-style rounds folded at the end, byte tail, every byte
+  /// contributes); restore verifies integrity with it.
   [[nodiscard]] static std::uint64_t compute_checksum(
       const std::vector<std::byte>& image) noexcept;
 

@@ -225,6 +225,8 @@ TEST_F(HorseResumeTest, JournalGapPastCapacityWalksAndStaysSorted) {
   const ResumeDegradationStats after = engine_.degradation_stats();
   EXPECT_EQ(after.fallback_merges, before.fallback_merges + 1);
   EXPECT_EQ(after.stale_index_fallbacks, before.stale_index_fallbacks + 1);
+  EXPECT_EQ(after.journal_overflow_fallbacks,
+            before.journal_overflow_fallbacks + 1);
   EXPECT_EQ(after.inline_repairs, before.inline_repairs);
   EXPECT_EQ(s2->state(), vmm::SandboxState::kRunning);
   EXPECT_EQ(queued_on(7), 3u);
@@ -251,6 +253,9 @@ TEST_F(HorseResumeTest, CorruptDeltaDuringInlineRepairWalks) {
   const ResumeDegradationStats after = engine_.degradation_stats();
   EXPECT_EQ(after.fallback_merges, before.fallback_merges + 1);
   EXPECT_EQ(after.stale_index_fallbacks, before.stale_index_fallbacks + 1);
+  // A declined replay inside the journal is not an overflow.
+  EXPECT_EQ(after.journal_overflow_fallbacks,
+            before.journal_overflow_fallbacks);
   EXPECT_EQ(after.inline_repairs, before.inline_repairs);
   EXPECT_EQ(s2->state(), vmm::SandboxState::kRunning);
   EXPECT_EQ(queued_on(7), 5u);

@@ -74,6 +74,8 @@ TEST_F(FaultLadderTest, StaleIndexFallsBackToVanillaMerge) {
   const core::ResumeDegradationStats stats = engine.degradation_stats();
   EXPECT_EQ(stats.fallback_merges, 1u);
   EXPECT_EQ(stats.stale_index_fallbacks, 1u);
+  // Invalidated, not overflowed: counted as stale but not as overflow.
+  EXPECT_EQ(stats.journal_overflow_fallbacks, 0u);
   EXPECT_EQ(stats.poisoned_index_fallbacks, 0u);
   // An invalidated or poisoned index is never repaired: it takes the walk.
   EXPECT_EQ(stats.inline_repairs, 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sched/topology.hpp"
 #include "vmm/boot.hpp"
 #include "vmm/resume_engine.hpp"
@@ -79,6 +81,57 @@ TEST(SnapshotTest, ChecksumDetectsCorruption) {
   const auto original = SnapshotManager::compute_checksum(image);
   image[100] = std::byte{2};
   EXPECT_NE(SnapshotManager::compute_checksum(image), original);
+}
+
+TEST(SnapshotTest, ChecksumCoversEveryBitAndTheLength) {
+  // 141 bytes: two full 64-byte strides, one tail word, a 5-byte tail.
+  std::vector<std::byte> image(141);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<std::byte>(i * 37 + 11);
+  }
+  const auto original = SnapshotManager::compute_checksum(image);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      image[i] ^= static_cast<std::byte>(1u << bit);
+      EXPECT_NE(SnapshotManager::compute_checksum(image), original)
+          << "byte " << i << " bit " << bit;
+      image[i] ^= static_cast<std::byte>(1u << bit);
+    }
+  }
+  // Zero padding of the byte tail must not alias a longer image.
+  image.push_back(std::byte{0});
+  EXPECT_NE(SnapshotManager::compute_checksum(image), original);
+}
+
+TEST(SnapshotTest, ChecksumSeesEveryPairOfBitFlips) {
+  // Two flipped bits must not cancel, wherever they are: same lane, other
+  // lanes, the tail. Bit 63 of two words is the case a multiply-only lane
+  // step misses (a top-bit difference survives any odd multiply).
+  std::vector<std::byte> image(141);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<std::byte>(i * 37 + 11);
+  }
+  const auto original = SnapshotManager::compute_checksum(image);
+  const std::size_t bits = image.size() * 8;
+  std::size_t collisions = 0;
+  std::string first;
+  const auto flip = [&image](std::size_t bit) {
+    image[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  };
+  for (std::size_t a = 0; a < bits; ++a) {
+    flip(a);
+    for (std::size_t b = a + 1; b < bits; ++b) {
+      flip(b);
+      if (SnapshotManager::compute_checksum(image) == original) {
+        if (collisions++ == 0) {
+          first = std::to_string(a) + "," + std::to_string(b);
+        }
+      }
+      flip(b);
+    }
+    flip(a);
+  }
+  EXPECT_EQ(collisions, 0u) << "first colliding bit pair: " << first;
 }
 
 TEST(SnapshotTest, RestoredSandboxIsStartable) {
