@@ -70,8 +70,8 @@ int main() {
     }
   }
 
-  const auto nat_decision = platform.keep_alive_policy().decide(nat);
-  const auto thumb_decision = platform.keep_alive_policy().decide(thumbnail);
+  const auto nat_decision = platform.keep_alive_decision(nat);
+  const auto thumb_decision = platform.keep_alive_decision(thumbnail);
 
   metrics::TextTable table("learned keep-alive windows after 6 h",
                            {"function", "invocations", "pre-warm window",

@@ -68,10 +68,7 @@ HostSnapshot Host::snapshot(faas::FunctionId function,
   snapshot.capacity = dispatcher_.capacity();
   snapshot.dispatched = dispatched();
   if (include_warm) {
-    // const_cast: warm_pool() is non-const on Platform but available() is
-    // a read under the owning shard's lock.
-    snapshot.warm_slots =
-        const_cast<faas::Platform&>(platform_).warm_pool().available(function);
+    snapshot.warm_slots = platform_.pooled(function);
   }
   return snapshot;
 }

@@ -78,8 +78,8 @@
 // the dedup ledger.
 //
 // Thread-safety: submit() from any thread; drain() single-drainer, and
-// it must not run concurrently with submit() (same contract as
-// Invoker::drain). register/provision/ensure_snapshot/advance_time are
+// it must not run concurrently with submit() (Dispatcher::drain's
+// contract). register/provision/ensure_snapshot/advance_time are
 // setup/driver calls, not hot paths.
 #pragma once
 

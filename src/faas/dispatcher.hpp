@@ -1,13 +1,13 @@
-// Worker-pool dispatch engine shared by the single-host Invoker and the
-// cluster's per-host submission plumbing.
+// Worker-pool dispatch engine behind each cluster Host's submission
+// plumbing.
 //
 // A Dispatcher is a fixed pool of workers executing Submissions through a
 // caller-supplied executor, in one of two transports:
 //
 //   * PUSH — submit() routes each task to one worker's private queue via
-//     the caller's router (the Invoker passes shard_of so per-function
-//     work serialises before the shard mutex, exactly as before the
-//     split). Work is committed to a worker at submit time.
+//     the caller's router (a Host passes shard_of so per-function work
+//     serialises before the shard mutex). Work is committed to a worker
+//     at submit time.
 //   * PULL — no local queues: every worker blocks on a shared TaskSource
 //     (the cluster's bounded queue) and takes the next task the moment it
 //     goes idle. Work is committed to a worker — and hence a host — only
@@ -15,8 +15,7 @@
 //     cluster's pull mode is built on.
 //
 // Both transports run the same worker epilogue (queueing measurement,
-// executor call, outcome recording, completion hook), so single-host and
-// cluster invocations flow through one code path.
+// executor call, outcome recording, completion hook).
 //
 // Push-mode hand-off: a worker whose queue runs empty first spins for up
 // to 1 ms, polling an atomic count of its queued tasks, and only then
@@ -36,9 +35,9 @@
 // submitted-vs-completed accounting from the counters alone.
 //
 // Thread-safety: submit() from any thread; wait_idle()/take_outcomes()
-// must not race each other (same single-drainer contract as the old
-// Invoker). Pull-mode owners must close() the TaskSource before
-// destroying the Dispatcher, or its workers never unblock.
+// must not race each other (single-drainer contract). Pull-mode owners
+// must close() the TaskSource before destroying the Dispatcher, or its
+// workers never unblock.
 #pragma once
 
 #include <atomic>
@@ -97,7 +96,7 @@ class Dispatcher {
   /// Take every recorded outcome (single-drainer contract).
   [[nodiscard]] std::vector<SubmissionOutcome> take_outcomes();
 
-  /// wait_idle() + take_outcomes(), the Invoker drain shape.
+  /// wait_idle() + take_outcomes().
   [[nodiscard]] std::vector<SubmissionOutcome> drain();
 
   // --- cluster health hooks ------------------------------------------------

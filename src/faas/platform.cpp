@@ -993,62 +993,30 @@ ControlPlaneSnapshot Platform::control_plane_snapshot() const {
   return out;
 }
 
-// --- facade views ---------------------------------------------------------
+// --- per-function reads ---------------------------------------------------
 
-std::size_t ShardedWarmPoolView::available(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.pool.available(function);
+std::size_t Platform::pooled(FunctionId function) const {
+  const auto& owner = shard(function);
+  ShardLock lock(owner.mutex, owner.meter);
+  return owner.pool.available(function);
 }
 
-std::size_t ShardedWarmPoolView::provisioned_floor(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.pool.provisioned_floor(function);
+std::size_t Platform::provisioned_floor(FunctionId function) const {
+  const auto& owner = shard(function);
+  ShardLock lock(owner.mutex, owner.meter);
+  return owner.pool.provisioned_floor(function);
 }
 
-util::Nanos ShardedWarmPoolView::keep_alive_for(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.pool.keep_alive_for(function);
+util::Nanos Platform::keep_alive_for(FunctionId function) const {
+  const auto& owner = shard(function);
+  ShardLock lock(owner.mutex, owner.meter);
+  return owner.pool.keep_alive_for(function);
 }
 
-void ShardedWarmPoolView::set_keep_alive_override(FunctionId function,
-                                                  util::Nanos keep_alive) {
-  auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  shard.pool.set_keep_alive_override(function, keep_alive);
-}
-
-std::size_t ShardedWarmPoolView::total() const {
-  std::size_t sum = 0;
-  for (const std::size_t occupancy : platform_.shard_pool_occupancy()) {
-    sum += occupancy;
-  }
-  return sum;
-}
-
-KeepAliveDecision KeepAlivePolicyView::decide(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.keep_alive.decide(function);
-}
-
-std::size_t KeepAlivePolicyView::sample_count(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.keep_alive.sample_count(function);
-}
-
-std::size_t KeepAlivePolicyView::oob_count(FunctionId function) const {
-  const auto& shard = platform_.shard(function);
-  ShardLock lock(shard.mutex, shard.meter);
-  return shard.keep_alive.oob_count(function);
-}
-
-const KeepAlivePolicyConfig& KeepAlivePolicyView::config() const noexcept {
-  // Immutable after construction and identical across shards.
-  return platform_.shards_.front()->keep_alive.config();
+KeepAliveDecision Platform::keep_alive_decision(FunctionId function) const {
+  const auto& owner = shard(function);
+  ShardLock lock(owner.mutex, owner.meter);
+  return owner.keep_alive.decide(function);
 }
 
 }  // namespace horse::faas

@@ -47,7 +47,7 @@
 // topology, engines, ull_manager) hand out objects that are themselves
 // internally synchronised for the operations the platform performs;
 // instrumentation that walks them (e.g. reading queue contents) should
-// quiesce invokers first, as before.
+// quiesce invocations first.
 #pragma once
 
 #include <atomic>
@@ -299,8 +299,6 @@ struct ChainRecord {
   bool gated_early = false;
 };
 
-class Platform;
-
 /// Consistent observability snapshot — see
 /// Platform::control_plane_snapshot().
 struct ControlPlaneSnapshot {
@@ -314,46 +312,11 @@ struct ControlPlaneSnapshot {
   core::UllRunQueueManager::ManagerSnapshot ull;
 };
 
-/// Read-mostly view over the striped warm pool: each call routes to the
-/// shard owning the function and takes that shard's lock, so callers keep
-/// the pre-sharding `platform.warm_pool().available(fn)` idiom without
-/// seeing a single pool object (there isn't one any more).
-class ShardedWarmPoolView {
- public:
-  [[nodiscard]] std::size_t available(FunctionId function) const;
-  [[nodiscard]] std::size_t provisioned_floor(FunctionId function) const;
-  [[nodiscard]] util::Nanos keep_alive_for(FunctionId function) const;
-  void set_keep_alive_override(FunctionId function, util::Nanos keep_alive);
-  /// Pooled sandboxes across all shards (sums per-shard totals).
-  [[nodiscard]] std::size_t total() const;
-
- private:
-  friend class Platform;
-  explicit ShardedWarmPoolView(Platform& platform) : platform_(platform) {}
-  Platform& platform_;
-};
-
-/// Same idea for the hybrid-histogram keep-alive policy: a function's idle
-/// history lives wholly in its owning shard.
-class KeepAlivePolicyView {
- public:
-  [[nodiscard]] KeepAliveDecision decide(FunctionId function) const;
-  [[nodiscard]] std::size_t sample_count(FunctionId function) const;
-  [[nodiscard]] std::size_t oob_count(FunctionId function) const;
-  [[nodiscard]] const KeepAlivePolicyConfig& config() const noexcept;
-
- private:
-  friend class Platform;
-  explicit KeepAlivePolicyView(Platform& platform) : platform_(platform) {}
-  Platform& platform_;
-};
-
 class Platform {
  public:
   explicit Platform(PlatformConfig config = {});
 
   [[nodiscard]] FunctionRegistry& registry() noexcept { return registry_; }
-  [[nodiscard]] ShardedWarmPoolView& warm_pool() noexcept { return pool_view_; }
   [[nodiscard]] sched::CpuTopology& topology() noexcept { return topology_; }
   [[nodiscard]] vmm::ResumeEngine& vanilla_engine() noexcept { return *vanilla_; }
   /// The first per-queue HORSE engine (the only one when
@@ -417,11 +380,21 @@ class Platform {
   }
   void advance_time(util::Nanos delta);
 
-  /// The hybrid-histogram keep-alive policy (consulted on advance_time
-  /// when config().adaptive_keep_alive is set; always records arrivals).
-  [[nodiscard]] KeepAlivePolicyView& keep_alive_policy() noexcept {
-    return keep_alive_view_;
-  }
+  // --- per-function reads --------------------------------------------------
+  // Each takes the owning shard's lock: a function's pool partition and
+  // idle history live wholly in its shard.
+
+  /// Paused sandboxes pooled for `function`.
+  [[nodiscard]] std::size_t pooled(FunctionId function) const;
+  /// The eviction floor provision() set for `function`.
+  [[nodiscard]] std::size_t provisioned_floor(FunctionId function) const;
+  /// The keep-alive window the pool applies to `function`.
+  [[nodiscard]] util::Nanos keep_alive_for(FunctionId function) const;
+  /// The hybrid-histogram policy's current verdict for `function`
+  /// (consulted on advance_time when config().adaptive_keep_alive is set;
+  /// arrivals are always recorded).
+  [[nodiscard]] KeepAliveDecision keep_alive_decision(
+      FunctionId function) const;
 
   /// Lifetime counters, aggregated across shards.
   [[nodiscard]] PlatformCounters counters() const;
@@ -487,9 +460,6 @@ class Platform {
   [[nodiscard]] ControlPlaneSnapshot control_plane_snapshot() const;
 
  private:
-  friend class ShardedWarmPoolView;
-  friend class KeepAlivePolicyView;
-
   /// Everything one function-shard owns. The shard mutex serialises all
   /// control-plane work for the functions hashing here; substrate work
   /// done while it is held (engine calls) nests per the lock hierarchy in
@@ -607,8 +577,6 @@ class Platform {
   std::vector<std::unique_ptr<core::HorseResumeEngine>> horse_engines_;
   FunctionRegistry registry_;
   std::vector<std::unique_ptr<ControlShard>> shards_;
-  ShardedWarmPoolView pool_view_{*this};
-  KeepAlivePolicyView keep_alive_view_{*this};
   std::atomic<sched::SandboxId> next_sandbox_id_{1};
   std::atomic<util::Nanos> logical_now_{0};
   /// Host-wide (all shards share it); a single atomic, so it sits outside

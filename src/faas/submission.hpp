@@ -1,18 +1,15 @@
 // Transport-free submission currency shared by every dispatch frontend.
 //
-// The pre-cluster Invoker fused three concerns: the submission types
-// (task in, outcome out), the worker-pool transport (per-worker queues +
-// shard-affine routing), and the binding to one Platform. The cluster
-// scheduler needs the first two without the third — a cluster host runs
-// the same worker loop against its own Platform, and pull-mode hosts
-// replace the per-worker queues with a shared bounded queue they drain
-// when idle. This header is the extracted currency:
+// Dispatch has three concerns: the submission types (task in, outcome
+// out), the worker-pool transport (per-worker queues + shard-affine
+// routing, or a shared pull queue), and the binding to one Platform (a
+// cluster Host). This header is the first of them:
 //
 //   * Submission / SubmissionOutcome — what flows in and out of any
-//     dispatch frontend (Invoker, cluster Host, pull queue). `seq` is a
+//     dispatch frontend (cluster Host, pull queue). `seq` is a
 //     frontend-assigned identity so accounting tests can prove no
-//     submission is lost or executed twice; `host` on the outcome is
-//     filled by cluster frontends (always 0 single-host).
+//     submission is lost or executed twice; `host` on the outcome names
+//     the executing host.
 //   * TaskSource — the pull-mode abstraction: a blocking producer of
 //     Submissions that a Dispatcher's workers drain instead of their own
 //     queues (Hiku-style: idle hosts pull work; nothing is committed to a
@@ -66,8 +63,8 @@ struct Submission {
   /// across every re-dispatch of the same logical submission. The crash
   /// dedup ledger keys on it: a late completion from a declared-dead host
   /// and the completion of its re-dispatched copy carry the SAME key, so
-  /// exactly one of them surfaces. 0 = untagged (single-host Invoker
-  /// paths that never re-dispatch).
+  /// exactly one of them surfaces. 0 = untagged (a bare Dispatcher
+  /// that never re-dispatches).
   std::uint64_t key = 0;
   /// Set when a cluster re-dispatches after a stall/drop: re-dispatched
   /// submissions are exempt from the dispatch faults, which is what makes

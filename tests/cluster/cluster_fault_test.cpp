@@ -326,7 +326,7 @@ TEST_F(ClusterFaultTest, RestartedHostRejoinsWarmThroughHalfOpenProbe) {
   EXPECT_EQ(counters.hosts_quarantined, 0u) << "gauge decrements on rejoin";
   EXPECT_TRUE(cluster.host(0).healthy());
   EXPECT_GE(counters.rehydrated_sandboxes, 1u);
-  EXPECT_GE(cluster.host(0).platform().warm_pool().available(*filter), 1u)
+  EXPECT_GE(cluster.host(0).platform().pooled(*filter), 1u)
       << "post-failover traffic must find warm sandboxes, not cold starts";
 }
 

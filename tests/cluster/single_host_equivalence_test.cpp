@@ -1,13 +1,14 @@
-// --hosts 1 must be the pre-cluster Invoker, behaviorally: same outcomes,
-// same pool state, same error surface. The cluster layer may add latency
-// noise (an extra atomic or two) but never semantics.
+// --hosts 1 must be a bare Platform, behaviorally: a one-host cluster
+// running a drive yields the same outcomes, pool state and error surface
+// as the same drive issued as direct Platform::invoke calls on a twin
+// Platform built from the same PlatformConfig. The cluster layer may add
+// latency (queueing, an extra atomic or two) but never semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "cluster/scheduler.hpp"
-#include "faas/invoker.hpp"
 #include "workloads/array_filter.hpp"
 
 namespace horse::cluster {
@@ -43,6 +44,24 @@ struct OutcomeDigest {
   std::vector<std::size_t> response_sizes;
 };
 
+/// Digest of the direct path, one entry per call in call order: the
+/// requested mode (what SubmissionOutcome::mode carries), the status
+/// code, and the response size (0 on failure, as for a default record).
+struct DirectPath {
+  faas::Platform& platform;
+  OutcomeDigest out;
+
+  void operator()(faas::FunctionId fn, workloads::Request request,
+                  faas::StartMode mode) {
+    const auto result = platform.invoke(fn, std::move(request), mode);
+    out.codes.push_back(result ? util::StatusCode::kOk
+                               : result.status().code());
+    out.modes.push_back(mode);
+    out.response_sizes.push_back(
+        result ? result->response.indexes.size() : std::size_t{0});
+  }
+};
+
 OutcomeDigest digest(std::vector<faas::SubmissionOutcome> outcomes) {
   std::sort(outcomes.begin(), outcomes.end(),
             [](const auto& a, const auto& b) { return a.seq < b.seq; });
@@ -56,7 +75,7 @@ OutcomeDigest digest(std::vector<faas::SubmissionOutcome> outcomes) {
 }
 
 template <typename SubmitFn>
-void drive(SubmitFn submit, faas::FunctionId filter) {
+void drive(SubmitFn&& submit, faas::FunctionId filter) {
   for (int i = 0; i < 24; ++i) {
     submit(filter, filter_request(),
            i % 3 == 0 ? faas::StartMode::kHorse : faas::StartMode::kCold);
@@ -67,20 +86,16 @@ void drive(SubmitFn submit, faas::FunctionId filter) {
   submit(999, filter_request(), faas::StartMode::kCold);
 }
 
-TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
-  // Invoker path.
+TEST(SingleHostEquivalenceTest, OutcomesMatchDirectPlatformInvokes) {
+  // Direct path: the drive as plain Platform::invoke calls.
   faas::Platform platform(platform_config());
-  const auto invoker_filter = platform.registry().add(filter_spec());
-  ASSERT_TRUE(invoker_filter);
-  ASSERT_TRUE(platform.provision(*invoker_filter, 2).is_ok());
-  faas::Invoker invoker(platform, 2);
-  drive(
-      [&](faas::FunctionId fn, workloads::Request request,
-          faas::StartMode mode) { invoker.submit(fn, std::move(request), mode); },
-      *invoker_filter);
-  const OutcomeDigest single = digest(invoker.drain());
+  const auto direct_filter = platform.registry().add(filter_spec());
+  ASSERT_TRUE(direct_filter);
+  ASSERT_TRUE(platform.provision(*direct_filter, 2).is_ok());
+  DirectPath direct{platform, {}};
+  drive(direct, *direct_filter);
 
-  // Cluster path, one host, same worker count, same platform template
+  // Cluster path, one host with two workers, same platform template
   // (host 0's seed offset is zero, so the two platforms are identical).
   ClusterConfig config;
   config.num_hosts = 1;
@@ -89,7 +104,7 @@ TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
   ClusterScheduler cluster(config);
   const auto cluster_filter = cluster.register_function(filter_spec);
   ASSERT_TRUE(cluster_filter);
-  EXPECT_EQ(*cluster_filter, *invoker_filter);
+  EXPECT_EQ(*cluster_filter, *direct_filter);
   ASSERT_TRUE(cluster.provision(*cluster_filter, 2).is_ok());
   drive(
       [&](faas::FunctionId fn, workloads::Request request,
@@ -97,13 +112,13 @@ TEST(SingleHostEquivalenceTest, OutcomesMatchTheInvokerPath) {
       *cluster_filter);
   const OutcomeDigest clustered = digest(cluster.drain());
 
-  EXPECT_EQ(single.codes, clustered.codes);
-  EXPECT_EQ(single.modes, clustered.modes);
-  EXPECT_EQ(single.response_sizes, clustered.response_sizes);
+  EXPECT_EQ(direct.out.codes, clustered.codes);
+  EXPECT_EQ(direct.out.modes, clustered.modes);
+  EXPECT_EQ(direct.out.response_sizes, clustered.response_sizes);
 
   // Same residual pool state on both sides.
-  EXPECT_EQ(platform.warm_pool().available(*invoker_filter),
-            cluster.host(0).platform().warm_pool().available(*cluster_filter));
+  EXPECT_EQ(platform.pooled(*direct_filter),
+            cluster.host(0).platform().pooled(*cluster_filter));
 }
 
 TEST(SingleHostEquivalenceTest, SingleHostOutcomesAllNameHostZero) {

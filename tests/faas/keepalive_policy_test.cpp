@@ -148,14 +148,14 @@ TEST(KeepAlivePolicyTest, PlatformIntegrationAdaptsEviction) {
     ASSERT_TRUE(platform.invoke(id, request, StartMode::kCold).has_value());
     platform.advance_time(30 * util::kSecond);
   }
-  const auto decision = platform.keep_alive_policy().decide(id);
+  const auto decision = platform.keep_alive_decision(id);
   ASSERT_TRUE(decision.from_histogram);
   // The pool override must follow the decision on the next advance.
   platform.advance_time(1);
-  EXPECT_EQ(platform.warm_pool().keep_alive_for(id), decision.keep_alive);
+  EXPECT_EQ(platform.keep_alive_for(id), decision.keep_alive);
   // With a ~1-minute learned window, a 2-hour idle evicts the sandbox.
   platform.advance_time(2 * 3600 * util::kSecond);
-  EXPECT_EQ(platform.warm_pool().available(id), 0u);
+  EXPECT_EQ(platform.pooled(id), 0u);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST_F(PlatformTest, ColdStartRunsFunction) {
 TEST_F(PlatformTest, ColdStartLeavesWarmSandboxBehind) {
   ASSERT_TRUE(platform_.invoke(ull_id_, filter_request(), StartMode::kCold)
                   .has_value());
-  EXPECT_EQ(platform_.warm_pool().available(ull_id_), 1u);
+  EXPECT_EQ(platform_.pooled(ull_id_), 1u);
   // The pooled sandbox now serves a warm start.
   const auto warm = platform_.invoke(ull_id_, filter_request(), StartMode::kWarm);
   ASSERT_TRUE(warm.has_value());
@@ -116,8 +116,8 @@ TEST_F(PlatformTest, WarmWithoutPoolDemotesToColderRung) {
 
 TEST_F(PlatformTest, ProvisionFillsPool) {
   ASSERT_TRUE(platform_.provision(ull_id_, 3).is_ok());
-  EXPECT_EQ(platform_.warm_pool().available(ull_id_), 3u);
-  EXPECT_EQ(platform_.warm_pool().provisioned_floor(ull_id_), 3u);
+  EXPECT_EQ(platform_.pooled(ull_id_), 3u);
+  EXPECT_EQ(platform_.provisioned_floor(ull_id_), 3u);
 }
 
 TEST_F(PlatformTest, HorseStartUsesFastPath) {
@@ -169,7 +169,7 @@ TEST_F(PlatformTest, RepeatedWarmInvocationsRecyclePool) {
     ASSERT_TRUE(platform_.invoke(ull_id_, filter_request(), StartMode::kWarm)
                     .has_value());
   }
-  EXPECT_EQ(platform_.warm_pool().available(ull_id_), 2u);
+  EXPECT_EQ(platform_.pooled(ull_id_), 2u);
 }
 
 TEST_F(PlatformTest, UnknownFunctionRejected) {
@@ -184,9 +184,9 @@ TEST_F(PlatformTest, KeepAliveEvictionRespectsFloor) {
   // Add one more beyond the floor via a cold invocation.
   ASSERT_TRUE(platform_.invoke(ull_id_, filter_request(), StartMode::kCold)
                   .has_value());
-  EXPECT_EQ(platform_.warm_pool().available(ull_id_), 3u);
+  EXPECT_EQ(platform_.pooled(ull_id_), 3u);
   platform_.advance_time(platform_.config().warm_pool.keep_alive + 1);
-  EXPECT_EQ(platform_.warm_pool().available(ull_id_), 2u);  // floor holds
+  EXPECT_EQ(platform_.pooled(ull_id_), 2u);  // floor holds
 }
 
 TEST_F(PlatformTest, ExecTimeIsMeasuredPositive) {

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "faas/invoker.hpp"
 #include "faas/platform.hpp"
 #include "faas/registry.hpp"
 #include "support/sanitizers.hpp"
@@ -272,9 +271,9 @@ TEST_F(WorkflowPlatformTest, FusedChainRunsAsSingleResume) {
   EXPECT_EQ(counters.chain_stages_executed, 3u);
   EXPECT_EQ(counters.fused_segments, 1u);
   EXPECT_EQ(counters.chain_fallback_stages, 0u);
-  EXPECT_EQ(platform.warm_pool().available(entry), 1u);
-  EXPECT_EQ(platform.warm_pool().available(spec.stages[1]), 0u);
-  EXPECT_EQ(platform.warm_pool().available(spec.stages[2]), 0u);
+  EXPECT_EQ(platform.pooled(entry), 1u);
+  EXPECT_EQ(platform.pooled(spec.stages[1]), 0u);
+  EXPECT_EQ(platform.pooled(spec.stages[2]), 0u);
 }
 
 TEST_F(WorkflowPlatformTest, FusedSegmentCountsOneArrivalForEntryOnly) {
@@ -479,39 +478,6 @@ TEST(WorkflowRegistryConcurrencyTest, ConcurrentAddAndFindUnderSharedLock) {
   }
   EXPECT_EQ(registry.workflow_count(),
             static_cast<std::size_t>(kWriters * kPerWriter));
-}
-
-TEST(WorkflowInvokerTest, ChainsFlowThroughTheDispatchFrontend) {
-  Platform platform;
-  auto a = std::make_shared<CountingFunction>("inv-a");
-  auto b = std::make_shared<CountingFunction>("inv-b");
-  WorkflowSpec spec;
-  spec.name = "invoker-chain";
-  spec.stages = {*platform.registry().add(make_spec(a, true)),
-                 *platform.registry().add(make_spec(b, true))};
-  const WorkflowId workflow = *platform.registry().add_workflow(spec);
-  ASSERT_TRUE(platform.provision(spec.stages.front(), 1).is_ok());
-
-  Invoker invoker(platform, 2);
-  invoker.submit_chain(workflow, request_with_header("pkt"), StartMode::kHorse);
-  invoker.submit_chain(workflow + 17, request_with_header("pkt"),
-                       StartMode::kHorse);  // unknown workflow
-  const auto outcomes = invoker.drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  for (const auto& outcome : outcomes) {
-    if (outcome.workflow == workflow) {
-      EXPECT_TRUE(outcome.status.is_ok());
-      EXPECT_EQ(outcome.chain_stages, 2u);
-      EXPECT_EQ(outcome.record.response.rewritten_header, "pkt|inv-a|inv-b");
-    } else {
-      // Unknown workflows fail typed-NotFound at execution, same late
-      // contract as an unknown function id.
-      EXPECT_FALSE(outcome.status.is_ok());
-      EXPECT_EQ(outcome.status.code(), util::StatusCode::kNotFound);
-    }
-  }
-  EXPECT_EQ(a->calls(), 1);
-  EXPECT_EQ(b->calls(), 1);
 }
 
 }  // namespace

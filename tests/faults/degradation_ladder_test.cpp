@@ -327,13 +327,13 @@ TEST_F(PlatformLadderTest, ParkRejectionTearsDownSandboxProperly) {
   const auto counters = platform_.counters();
   EXPECT_EQ(counters.failed, 1u);
   EXPECT_EQ(counters.pool_overflow_destroyed, 1u);
-  EXPECT_EQ(platform_.warm_pool().available(function_), 0u);
+  EXPECT_EQ(platform_.pooled(function_), 0u);
 
   // The platform is healthy afterwards: a fresh cold start pools fine.
   const auto retried =
       platform_.invoke(function_, request(), faas::StartMode::kCold);
   ASSERT_TRUE(retried.has_value());
-  EXPECT_EQ(platform_.warm_pool().available(function_), 1u);
+  EXPECT_EQ(platform_.pooled(function_), 1u);
 }
 
 TEST_F(PlatformLadderTest, DisabledLadderSurfacesRawErrors) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/p2sm.hpp"
@@ -21,7 +22,6 @@
 #include "util/epoch.hpp"
 #include "util/spinlock.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
 #include "util/yield_point.hpp"
 #include "vmm/sandbox.hpp"
 
@@ -257,12 +257,12 @@ TEST(ExplorerScenarioTest, IndexRebuildRacingInvalidatingEnqueue) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3 — SpinLock / ThreadPool handoff.
+// Scenario 3 — SpinLock handoff.
 //
 // Cooperative half: three threads hand a Spinlock around with a yield
 // point inside the critical section — mutual exclusion must hold at every
 // explored preemption. Free-running half (exercised by the TSan preset):
-// a real ThreadPool hammers a lock-protected RunQueue.
+// four plain threads hammer a lock-protected RunQueue.
 // ---------------------------------------------------------------------------
 
 util::Status run_spinlock_handoff(const ExplorerOptions& options) {
@@ -311,11 +311,13 @@ TEST(ExplorerScenarioTest, SpinlockHandoffKeepsMutualExclusion) {
       << "seed " << result.failing_seed << ": " << result.message;
 }
 
-TEST(ExplorerScenarioTest, ThreadPoolSpinlockHandoffFreeRunning) {
+TEST(ExplorerScenarioTest, SpinlockHandoffFreeRunning) {
   // Free-running companion to the cooperative half: real preemption, real
   // contention; the TSan preset turns any missing happens-before into a
-  // hard failure.
+  // hard failure. Each of the four threads takes a strided slice of the
+  // vCPUs.
   constexpr std::size_t kTasks = 200;
+  constexpr std::size_t kThreads = 4;
   std::vector<std::unique_ptr<sched::Vcpu>> storage;
   storage.reserve(kTasks);
   for (std::size_t i = 0; i < kTasks; ++i) {
@@ -324,23 +326,24 @@ TEST(ExplorerScenarioTest, ThreadPoolSpinlockHandoffFreeRunning) {
   sched::RunQueue b(0);
   std::atomic<std::size_t> executed{0};
   {
-    util::ThreadPool pool(4);
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      sched::Vcpu* vcpu = storage[i].get();
-      pool.submit([&b, &executed, vcpu] {
-        {
-          util::LockGuard guard(b.lock());
-          b.insert_sorted(*vcpu);
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&b, &executed, &storage, t] {
+        for (std::size_t i = t; i < kTasks; i += kThreads) {
+          sched::Vcpu& vcpu = *storage[i];
+          {
+            util::LockGuard guard(b.lock());
+            b.insert_sorted(vcpu);
+          }
+          b.update_load_enqueue();
+          {
+            util::LockGuard guard(b.lock());
+            b.remove(vcpu);
+          }
+          executed.fetch_add(1);
         }
-        b.update_load_enqueue();
-        {
-          util::LockGuard guard(b.lock());
-          b.remove(*vcpu);
-        }
-        executed.fetch_add(1);
       });
     }
-    pool.wait_idle();
   }
   EXPECT_EQ(executed.load(), kTasks);
   EXPECT_EQ(b.size(), 0u);

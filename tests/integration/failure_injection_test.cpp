@@ -9,7 +9,6 @@
 
 #include "core/horse_resume.hpp"
 #include "faas/platform.hpp"
-#include "trace/trace_stats.hpp"
 #include "workloads/array_filter.hpp"
 
 namespace horse {
@@ -177,14 +176,6 @@ TEST(FailureInjectionTest, P2smRejectsMergeAfterForeignQueueMutation) {
     topology.queue(3).remove(intruder);
   }
   ASSERT_TRUE(engine.destroy(*sandbox).is_ok());
-}
-
-TEST(FailureInjectionTest, EmptyTraceAndDegenerateSchedules) {
-  const auto stats = trace::analyze(trace::ArrivalSchedule{});
-  EXPECT_EQ(stats.total_invocations, 0u);
-  // Window fully outside the schedule.
-  trace::ArrivalSchedule schedule({{10, 0}});
-  EXPECT_TRUE(schedule.window(100, 200).empty());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Invocation storm: many submit threads drive the FULL control-plane
-// path (Invoker → shard → engines → pool) concurrently, with mixed
-// functions and every StartMode at once — the end-to-end counterpart of
-// the engine-level stress tests. What unit tests cannot see and these
-// can:
+// path (one-host ClusterScheduler → Host → Dispatcher → shard → engines
+// → pool) concurrently, with mixed functions and every StartMode at once
+// — the end-to-end counterpart of the engine-level stress tests. What
+// unit tests cannot see and these can:
 //
 //   * shard mutexes really partition the work — invocations of disjoint
 //     functions make progress from many threads without corrupting the
@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "faas/invoker.hpp"
+#include "cluster/scheduler.hpp"
 #include "faas/platform.hpp"
 #include "workloads/array_filter.hpp"
 #include "workloads/nat.hpp"
@@ -52,6 +52,17 @@ struct StormFunction {
   bool ull = false;
   bool provisioned = false;
 };
+
+/// A one-host cluster with one worker per submit thread: the serving
+/// front door in its single-host configuration.
+cluster::ClusterConfig one_host(const PlatformConfig& platform,
+                                std::size_t workers) {
+  cluster::ClusterConfig config;
+  config.num_hosts = 1;
+  config.workers_per_host = workers;
+  config.platform = platform;
+  return config;
+}
 
 /// Register `count` functions alternating uLL (NAT) / plain (filter);
 /// provision + snapshot each unless `provision` is 0.
@@ -87,7 +98,9 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
   PlatformConfig config;
   config.num_cpus = 8;
   config.horse.num_ull_runqueues = 2;
-  Platform platform(config);
+  constexpr std::size_t kSubmitThreads = 4;
+  cluster::ClusterScheduler cluster(one_host(config, kSubmitThreads));
+  Platform& platform = cluster.host(0).platform();
 
   constexpr std::size_t kProvision = 2;
   auto functions = register_functions(platform, 6, kProvision);
@@ -107,14 +120,12 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
     functions.push_back({*id, true, false});
   }
 
-  constexpr std::size_t kSubmitThreads = 4;
   constexpr std::size_t kPerThread = 64;
-  Invoker invoker(platform, kSubmitThreads);
 
   {
     std::vector<std::jthread> submitters;
     for (std::size_t t = 0; t < kSubmitThreads; ++t) {
-      submitters.emplace_back([&invoker, &functions, t] {
+      submitters.emplace_back([&cluster, &functions, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           const StormFunction& fn = functions[(t + i) % functions.size()];
           StartMode mode;
@@ -127,7 +138,7 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
           } else {
             mode = fn.ull ? StartMode::kHorse : StartMode::kWarm;
           }
-          invoker.submit(fn.id,
+          cluster.submit(fn.id,
                          fn.ull ? packet_request() : filter_request(), mode);
         }
       });
@@ -143,10 +154,10 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
     });
   }
 
-  const auto outcomes = invoker.drain();
+  const auto outcomes = cluster.drain();
   constexpr std::uint64_t kExpected = kSubmitThreads * kPerThread;
   ASSERT_EQ(outcomes.size(), kExpected);
-  EXPECT_EQ(invoker.submitted(), kExpected);
+  EXPECT_EQ(cluster.counters().submitted, kExpected);
 
   std::uint64_t ladder_completions = 0;
   for (const auto& outcome : outcomes) {
@@ -172,23 +183,25 @@ TEST(InvokeStormTest, MixedModesAcrossShardsAllComplete) {
   // ull-manager tracks exactly the pooled uLL sandboxes (every invocation
   // re-pooled or properly destroyed what it took).
   std::size_t pooled_ull = 0;
+  std::size_t pooled_all = 0;
   for (const auto& fn : functions) {
     if (fn.provisioned) {
-      EXPECT_GE(platform.warm_pool().available(fn.id), kProvision) << fn.id;
+      EXPECT_GE(platform.pooled(fn.id), kProvision) << fn.id;
     }
     if (fn.ull) {
-      pooled_ull += platform.warm_pool().available(fn.id);
+      pooled_ull += platform.pooled(fn.id);
     }
+    pooled_all += platform.pooled(fn.id);
   }
   EXPECT_EQ(platform.ull_manager().tracked_count(), pooled_ull);
 
-  // Shard accounting is internally consistent: per-shard pool occupancy
-  // sums to the global total.
+  // Shard accounting is internally consistent: the per-function pool
+  // counts over every registered function sum to the per-shard occupancy.
   std::size_t occupancy_sum = 0;
   for (const std::size_t count : platform.shard_pool_occupancy()) {
     occupancy_sum += count;
   }
-  EXPECT_EQ(occupancy_sum, platform.warm_pool().total());
+  EXPECT_EQ(occupancy_sum, pooled_all);
 }
 
 TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
@@ -200,27 +213,27 @@ TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
   PlatformConfig config;
   config.num_cpus = 4;
   config.horse.num_ull_runqueues = 1;
-  Platform platform(config);
+  constexpr std::size_t kSubmitThreads = 4;
+  cluster::ClusterScheduler cluster(one_host(config, kSubmitThreads));
+  Platform& platform = cluster.host(0).platform();
 
   const auto functions = register_functions(platform, 1, 1);
   const FunctionId fn = functions.front().id;
 
-  constexpr std::size_t kSubmitThreads = 4;
   constexpr std::size_t kPerThread = 48;
-  Invoker invoker(platform, kSubmitThreads);
   {
     std::vector<std::jthread> submitters;
     for (std::size_t t = 0; t < kSubmitThreads; ++t) {
-      submitters.emplace_back([&invoker, fn] {
+      submitters.emplace_back([&cluster, fn] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
-          invoker.submit(fn, packet_request(),
+          cluster.submit(fn, packet_request(),
                          i % 8 == 7 ? StartMode::kCold : StartMode::kHorse);
         }
       });
     }
   }
 
-  const auto outcomes = invoker.drain();
+  const auto outcomes = cluster.drain();
   ASSERT_EQ(outcomes.size(), kSubmitThreads * kPerThread);
   for (const auto& outcome : outcomes) {
     ASSERT_TRUE(outcome.status.is_ok()) << outcome.status.to_report();
@@ -228,9 +241,9 @@ TEST(InvokeStormTest, SingleFunctionStormSerialisesOnItsShard) {
   const PlatformCounters counters = platform.counters();
   EXPECT_EQ(counters.invocations, kSubmitThreads * kPerThread);
   EXPECT_EQ(counters.failed, 0u);
-  EXPECT_GE(platform.warm_pool().available(fn), 1u);
+  EXPECT_GE(platform.pooled(fn), 1u);
   EXPECT_EQ(platform.ull_manager().tracked_count(),
-            platform.warm_pool().available(fn));
+            platform.pooled(fn));
 }
 
 }  // namespace

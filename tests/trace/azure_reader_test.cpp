@@ -97,6 +97,7 @@ TEST(ScheduleTest, WindowShiftsAndFilters) {
   ASSERT_EQ(window.size(), 2u);
   EXPECT_EQ(window.arrivals()[0].time, 5);   // 20 - 15
   EXPECT_EQ(window.arrivals()[1].time, 15);  // 30 - 15
+  EXPECT_TRUE(schedule.window(100, 200).empty());  // wholly past the end
 }
 
 TEST(ScheduleTest, DurationIsLastArrival) {
